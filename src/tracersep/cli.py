@@ -265,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "evaluation, texture tools.")
     parser.add_argument("--replay", metavar="MANIFEST",
                         help="re-run the command recorded in a run manifest")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (1 = fully deterministic; >1 keeps a "
-                             "fixed-order reduction)")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("phantom", help="generate a synthetic phantom corpus")

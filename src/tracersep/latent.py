@@ -103,28 +103,31 @@ def extract_condition(dual: np.ndarray, masked_dual: np.ndarray,
 
 
 class ModulationParams:
-    """Two linear maps turning the flattened prior into per-channel scale/shift."""
+    """One linear map turning the flattened prior into per-channel scale | shift.
+
+    `w` is (in_dim, 2C) and `b` is (2C,) = [ones | zeros], so columns :C give
+    the scale and C: the shift.
+    """
 
     def __init__(self, in_dim: int, channels: int, rng: np.random.Generator,
                  prefix: str):
         std = 1e-2 / in_dim ** 0.5
-        self.scale_w = T.normal_param(rng, (in_dim, channels), std, f"{prefix}.scale.w")
-        self.scale_b = Parameter(np.ones(channels), f"{prefix}.scale.b")
-        self.shift_w = T.normal_param(rng, (in_dim, channels), std, f"{prefix}.shift.w")
-        self.shift_b = T.zeros_param((channels,), f"{prefix}.shift.b")
+        (self.w,) = T.fused_normal_params(rng, [((in_dim, channels), std, f"{prefix}.w")], 2)
+        self.b = Parameter(np.concatenate([np.ones(channels), np.zeros(channels)]),
+                           f"{prefix}.b")
 
     def parameters(self) -> list[Parameter]:
-        return [self.scale_w, self.scale_b, self.shift_w, self.shift_b]
+        return [self.w, self.b]
 
 
 def modulate(m: Tensor, latent_flat: Tensor, params: ModulationParams,
              epsilon: float = 1e-5) -> Tensor:
     """scale(L) * LayerNorm(M) + shift(L), broadcast over spatial positions."""
     c = m.data.shape[2]
-    if params.scale_w.data.shape[1] != c:
-        raise ValueError(f"modulation for {params.scale_w.data.shape[1]} channels "
+    if params.w.data.shape[1] != 2 * c:
+        raise ValueError(f"modulation for {params.w.data.shape[1] // 2} channels "
                          f"applied to {c}-channel features")
     lrow = T.reshape(latent_flat, (1, -1))
-    scale = T.reshape(T.linear(lrow, params.scale_w, params.scale_b), (1, 1, c))
-    shift = T.reshape(T.linear(lrow, params.shift_w, params.shift_b), (1, 1, c))
+    affine = T.reshape(T.linear(lrow, params.w, params.b), (1, 1, 2 * c))
+    scale, shift = T.split(affine, 2)
     return scale * T.layer_norm(m, axis=2, epsilon=epsilon) + shift

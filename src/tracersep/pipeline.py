@@ -89,8 +89,7 @@ class SeparationModel:
         for blocks in self.unet.enc_blocks + self.unet.dec_blocks:
             for blk in blocks:
                 for mod in (blk.mod1, blk.mod2):
-                    mod.scale_w.data[:] = 0.0
-                    mod.shift_w.data[:] = 0.0
+                    mod.w.data[:] = 0.0
         self.schedule = build_schedule(cfg.diffusion_steps, cfg.beta_start, cfg.beta_end)
         self.texture = cfg.texture()
 
@@ -120,20 +119,10 @@ def loss_tm(separated: list[Tensor], targets: list[np.ndarray],
 
 
 def _first_nonfinite(root: Tensor) -> str:
-    seen: set[int] = set()
-    stack = [root]
-    order = []
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        order.append(node)
-        stack.extend(node._prev)
-    for node in reversed(order):
+    """Name of the earliest node, in evaluation order, with a non-finite value."""
+    for node in T.topological_order(root):
         if not np.all(np.isfinite(node.data)):
-            name = getattr(node, "name", node.op)
-            return name
+            return getattr(node, "name", node.op)
     return root.op
 
 
@@ -237,6 +226,10 @@ def separate(dual: np.ndarray, model: SeparationModel, seed: int,
 # checkpoints
 # ---------------------------------------------------------------------------
 
+# format 2: fused qkv / project_in / scale|shift parameters (see transformer.py)
+CHECKPOINT_FORMAT = 2
+
+
 class CheckpointError(RuntimeError):
     pass
 
@@ -266,7 +259,7 @@ def save_checkpoint(model: SeparationModel, path, optimizer: Adam | None = None,
         adam_state = {"t": optimizer.t, "lr": optimizer.lr, "beta1": optimizer.beta1,
                       "beta2": optimizer.beta2, "eps": optimizer.eps}
     manifest = {
-        "format": 1,
+        "format": CHECKPOINT_FORMAT,
         "model": asdict(model.cfg),
         "step": step,
         "seed": seed,
@@ -280,6 +273,9 @@ def save_checkpoint(model: SeparationModel, path, optimizer: Adam | None = None,
 def load_checkpoint(path) -> tuple[SeparationModel, Adam | None]:
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
+    found = manifest.get("format")
+    if found != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"checkpoint format {found}, expected {CHECKPOINT_FORMAT}")
     for rel, digest in manifest["blobs"].items():
         blob = root / rel
         if not blob.exists():

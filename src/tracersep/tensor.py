@@ -88,23 +88,8 @@ class Tensor:
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar")
-        topo: list[Tensor] = []
-        visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, done = stack.pop()
-            if done:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._prev:
-                if p.requires_grad and id(p) not in visited:
-                    stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        for node in reversed(topological_order(self)):
             if node._backward is not None:
                 node._backward()
 
@@ -180,6 +165,26 @@ def _result(data: np.ndarray, prev: Sequence[Tensor], op: str) -> Tensor:
         t._prev = ()
     t._backward = None
     return t
+
+
+def topological_order(root: Tensor) -> list[Tensor]:
+    """root and the ancestors that need a gradient, each after all of its inputs."""
+    topo: list[Tensor] = []
+    visited: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._prev:
+            if p.requires_grad and id(p) not in visited:
+                stack.append((p, False))
+    return topo
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -356,6 +361,26 @@ def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
                 _accum(p, g)
         out._backward = backward
     return out
+
+
+def split(a: Tensor, n: int) -> list[Tensor]:
+    """Split the last axis into n equal parts; each part's data is a view of a's."""
+    if n < 1 or a.data.shape[-1] % n:
+        raise ValueError(f"last axis of {a.data.shape} does not split into {n} equal parts")
+    width = a.data.shape[-1] // n
+    parts = []
+    for i in range(n):
+        cols = slice(i * width, (i + 1) * width)
+        out = _result(a.data[..., cols], (a,), "split")
+        if out.requires_grad:
+            def backward(out=out, cols=cols):
+                if a.grad is None:
+                    a.grad = np.zeros_like(a.data)
+                part = a.grad[..., cols]
+                part += out.grad
+            out._backward = backward
+        parts.append(out)
+    return parts
 
 
 def channel(a: Tensor, k: int) -> Tensor:
@@ -675,6 +700,22 @@ class Adam:
 
 def normal_param(rng: np.random.Generator, shape, std: float, name: str) -> Parameter:
     return Parameter(rng.standard_normal(shape) * std, name)
+
+
+def fused_normal_params(rng: np.random.Generator, specs, branches: int) -> list[Parameter]:
+    """Parameters whose last axis joins `branches` equal pieces, one per branch.
+
+    specs lists (piece shape, std, name). Pieces are drawn branch by branch
+    and, within a branch, in spec order, the order separate normal_param
+    calls per branch would draw them, and are written straight into one
+    array per spec in the default dtype.
+    """
+    arrays = [np.empty(shape[:-1] + (branches * shape[-1],), dtype=_state["dtype"])
+              for shape, _, _ in specs]
+    for i in range(branches):
+        for arr, (shape, std, _) in zip(arrays, specs):
+            arr[..., i * shape[-1]:(i + 1) * shape[-1]] = rng.standard_normal(shape) * std
+    return [Parameter(arr, name) for arr, (_, _, name) in zip(arrays, specs)]
 
 
 def zeros_param(shape, name: str) -> Parameter:

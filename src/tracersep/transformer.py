@@ -1,9 +1,14 @@
 """Transposed-attention transformer blocks assembled into a U-net.
 
 Attention runs over the channel axis: per head a (C/h) x (C/h) map mixes
-channels, with queries/keys/values produced by 1x1 pointwise then 3x3
-depthwise convolutions. The gated feed-forward network multiplies a
-GELU-activated branch with a linear branch. Residuals bypass the prior
+channels. Queries, keys and values come from one fused projection, as in
+Restormer: a 1x1 pointwise conv to 3C channels (`qkv_pw`, C x 3C) and one
+3x3 depthwise conv over all 3C (`qkv_dw`), whose output is split into q | k
+| v along the channel axis. The gated feed-forward network likewise runs
+one `project_in` chain (`in_pw`, C x 2h, then `in_dw` over 2h) and splits
+it into a GELU-activated gate and a linear value. The latent modulation in
+front of each sub-block is one linear map to 2C channels split into scale |
+shift (see `latent.ModulationParams`). Residuals bypass the prior
 modulation, so zeroed output projections reduce every block to identity.
 """
 from __future__ import annotations
@@ -49,39 +54,38 @@ class UNetConfig:
 
 
 class AttentionParams:
+    """Fused q|k|v projection (1x1 then depthwise 3x3 over 3C), output 1x1, gamma."""
+
     def __init__(self, channels: int, heads: int, rng: np.random.Generator,
                  prefix: str):
         self.heads = heads
         std = (1.0 / channels) ** 0.5
-        self.q_pw = T.normal_param(rng, (channels, channels), std, f"{prefix}.q_pw")
-        self.q_dw = T.normal_param(rng, (3, 3, channels), 1.0 / 3.0, f"{prefix}.q_dw")
-        self.k_pw = T.normal_param(rng, (channels, channels), std, f"{prefix}.k_pw")
-        self.k_dw = T.normal_param(rng, (3, 3, channels), 1.0 / 3.0, f"{prefix}.k_dw")
-        self.v_pw = T.normal_param(rng, (channels, channels), std, f"{prefix}.v_pw")
-        self.v_dw = T.normal_param(rng, (3, 3, channels), 1.0 / 3.0, f"{prefix}.v_dw")
+        self.qkv_pw, self.qkv_dw = T.fused_normal_params(
+            rng, [((channels, channels), std, f"{prefix}.qkv_pw"),
+                  ((3, 3, channels), 1.0 / 3.0, f"{prefix}.qkv_dw")], 3)
         self.out_pw = T.normal_param(rng, (channels, channels), std, f"{prefix}.out_pw")
         self.gamma = Parameter(np.ones((heads, 1, 1)), f"{prefix}.gamma")
 
     def parameters(self) -> list[Parameter]:
-        return [self.q_pw, self.q_dw, self.k_pw, self.k_dw, self.v_pw, self.v_dw,
-                self.out_pw, self.gamma]
+        return [self.qkv_pw, self.qkv_dw, self.out_pw, self.gamma]
 
 
 class FeedForwardParams:
+    """Fused gate|value project_in (1x1 then depthwise 3x3 over 2h), output 1x1."""
+
     def __init__(self, channels: int, expansion: float, rng: np.random.Generator,
                  prefix: str):
         hidden = max(1, round(expansion * channels))
         self.hidden = hidden
         std = (1.0 / channels) ** 0.5
-        self.gate_pw = T.normal_param(rng, (channels, hidden), std, f"{prefix}.gate_pw")
-        self.gate_dw = T.normal_param(rng, (3, 3, hidden), 1.0 / 3.0, f"{prefix}.gate_dw")
-        self.val_pw = T.normal_param(rng, (channels, hidden), std, f"{prefix}.val_pw")
-        self.val_dw = T.normal_param(rng, (3, 3, hidden), 1.0 / 3.0, f"{prefix}.val_dw")
+        self.in_pw, self.in_dw = T.fused_normal_params(
+            rng, [((channels, hidden), std, f"{prefix}.in_pw"),
+                  ((3, 3, hidden), 1.0 / 3.0, f"{prefix}.in_dw")], 2)
         self.out_pw = T.normal_param(rng, (hidden, channels), (1.0 / hidden) ** 0.5,
                                      f"{prefix}.out_pw")
 
     def parameters(self) -> list[Parameter]:
-        return [self.gate_pw, self.gate_dw, self.val_pw, self.val_dw, self.out_pw]
+        return [self.in_pw, self.in_dw, self.out_pw]
 
 
 class BlockParams:
@@ -104,16 +108,24 @@ def _heads_view(x: Tensor, heads: int) -> Tensor:
     return T.transpose(y, (1, 2, 0))
 
 
-def attention_map(m: Tensor, params: AttentionParams) -> Tensor:
-    """Per-head channel attention map (heads, C/h, C/h); rows sum to 1."""
-    heads = params.heads
-    q = T.conv2d(T.conv2d(m, params.q_pw, "pointwise_1x1"), params.q_dw, "depthwise_3x3")
-    k = T.conv2d(T.conv2d(m, params.k_pw, "pointwise_1x1"), params.k_dw, "depthwise_3x3")
-    kh = _heads_view(k, heads)
-    qh = T.transpose(_heads_view(q, heads), (0, 2, 1))  # (heads, HW, C/h)
+def _project(m: Tensor, pw: Parameter, dw: Parameter, parts: int) -> list[Tensor]:
+    """One 1x1 then depthwise 3x3 chain, split into `parts` equal channel groups."""
+    y = T.conv2d(T.conv2d(m, pw, "pointwise_1x1"), dw, "depthwise_3x3")
+    return T.split(y, parts)
+
+
+def _channel_attention(q: Tensor, k: Tensor, params: AttentionParams) -> Tensor:
+    kh = _heads_view(k, params.heads)
+    qh = T.transpose(_heads_view(q, params.heads), (0, 2, 1))  # (heads, HW, C/h)
     gamma_div = T.abs_(params.gamma) + GAMMA_EPS
     scores = T.matmul(kh, qh) / gamma_div
     return T.softmax(scores, axis=-1)
+
+
+def attention_map(m: Tensor, params: AttentionParams) -> Tensor:
+    """Per-head channel attention map (heads, C/h, C/h); rows sum to 1."""
+    q, k, _ = _project(m, params.qkv_pw, params.qkv_dw, 3)
+    return _channel_attention(q, k, params)
 
 
 def mdta(m: Tensor, params: AttentionParams, residual: Tensor | None = None) -> Tensor:
@@ -122,8 +134,8 @@ def mdta(m: Tensor, params: AttentionParams, residual: Tensor | None = None) -> 
     heads = params.heads
     if c % heads:
         raise ValueError(f"{heads} heads do not divide {c} channels")
-    attn = attention_map(m, params)
-    v = T.conv2d(T.conv2d(m, params.v_pw, "pointwise_1x1"), params.v_dw, "depthwise_3x3")
+    q, k, v = _project(m, params.qkv_pw, params.qkv_dw, 3)
+    attn = _channel_attention(q, k, params)
     vh = _heads_view(v, heads)
     mixed = T.matmul(attn, vh)  # (heads, C/h, HW)
     y = T.reshape(T.transpose(mixed, (2, 0, 1)), (h, w, c))
@@ -132,11 +144,9 @@ def mdta(m: Tensor, params: AttentionParams, residual: Tensor | None = None) -> 
 
 
 def gdfn(m: Tensor, params: FeedForwardParams, residual: Tensor | None = None) -> Tensor:
-    """Gated feed-forward: GELU(dw1(pw1(m))) * dw2(pw2(m)) -> 1x1, plus residual."""
-    gate = T.conv2d(T.conv2d(m, params.gate_pw, "pointwise_1x1"),
-                    params.gate_dw, "depthwise_3x3")
-    val = T.conv2d(T.conv2d(m, params.val_pw, "pointwise_1x1"),
-                   params.val_dw, "depthwise_3x3")
+    """Gated feed-forward: gate, val = split(dw(pw(m))); GELU(gate) * val -> 1x1,
+    plus residual."""
+    gate, val = _project(m, params.in_pw, params.in_dw, 2)
     y = T.conv2d(T.gelu(gate) * val, params.out_pw, "pointwise_1x1")
     return y + (m if residual is None else residual)
 

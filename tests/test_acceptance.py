@@ -222,6 +222,7 @@ def test_criterion_4_shape_contracts():
 
 # -- criterion 5: overfit sanity --------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_overfit(overfit_run):
     model, pairs, history, wall, _, _ = overfit_run
     # per-step tm is stochastic in the sampled timestep; "reaches" means the
@@ -243,6 +244,7 @@ def test_criterion_5_overfit(overfit_run):
 
 # -- criterion 6: texture-threshold sweep -----------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_sweep_shape(overfit_run):
     _, _, _, _, ckpt, corpus = overfit_run
     rows = run_sweep_tau(ckpt, corpus, [120, 150, 180, 200])

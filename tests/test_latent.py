@@ -100,8 +100,7 @@ def test_modulate_reduces_to_layer_norm():
     m = Tensor(rng.standard_normal((4, 4, 3)))
     latent = Tensor(rng.standard_normal(6))
     params = ModulationParams(6, 3, make_rng(0), "mod")
-    params.scale_w.data[:] = 0.0   # scale = bias = ones
-    params.shift_w.data[:] = 0.0
+    params.w.data[:] = 0.0   # scale = bias[:3] = ones, shift = bias[3:] = zeros
     out = modulate(m, latent, params)
     assert np.max(np.abs(out.data - T.layer_norm(m, axis=2).data)) < 1e-12
 
@@ -111,10 +110,10 @@ def test_modulate_zero_scale_is_shift_broadcast():
     m = Tensor(rng.standard_normal((4, 4, 3)))
     latent = Tensor(rng.standard_normal(6))
     params = ModulationParams(6, 3, make_rng(0), "mod")
-    params.scale_w.data[:] = 0.0
-    params.scale_b.data[:] = 0.0
+    params.w.data[:, :3] = 0.0  # scale columns
+    params.b.data[:3] = 0.0
     out = modulate(m, latent, params).data
-    shift = latent.data @ params.shift_w.data + params.shift_b.data
+    shift = latent.data @ params.w.data[:, 3:] + params.b.data[3:]
     assert np.max(np.abs(out - shift.reshape(1, 1, 3))) < 1e-12
 
 
@@ -124,8 +123,8 @@ def test_modulate_against_direct_formula():
     latent = rng.standard_normal(6)
     params = ModulationParams(6, 3, make_rng(2), "mod")
     got = modulate(Tensor(m), Tensor(latent), params).data
-    scale = latent @ params.scale_w.data + params.scale_b.data
-    shift = latent @ params.shift_w.data + params.shift_b.data
+    scale = latent @ params.w.data[:, :3] + params.b.data[:3]
+    shift = latent @ params.w.data[:, 3:] + params.b.data[3:]
     mu = m.mean(axis=2, keepdims=True)
     var = m.var(axis=2, keepdims=True)
     want = scale * (m - mu) / np.sqrt(var + 1e-5) + shift

@@ -1,4 +1,6 @@
 """Joint training, inference, and checkpointing."""
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from tracersep.evaluation import PhantomSpec, gen_phantom
 from tracersep.pipeline import (CheckpointError, ModelConfig, SeparationModel,
                                 TrainConfig, load_checkpoint, loss_tm,
                                 save_checkpoint, separate, train, train_step)
-from tracersep.tensor import Adam, Tensor, grad_check, make_rng
+from tracersep.tensor import Adam, Parameter, Tensor, grad_check, make_rng
 from tracersep.texture import TextureConfig
 
 
@@ -143,8 +145,16 @@ def test_nonfinite_loss_diagnostic():
     model.unet.conv_in.data[:] = 3e38  # overflows f32 in the first conv
     cfg = TrainConfig(steps=1, batch=1, seed=0)
     opt = Adam(model.parameters())
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match="conv3x3"):
         train_step(tiny_pairs(1), model, opt, cfg, make_rng(0), 0, 1)
+
+
+def test_nonfinite_diagnostic_names_the_source_on_a_diamond():
+    from tracersep.pipeline import _first_nonfinite
+    with T.precision("f32"):
+        x = Parameter(np.full(3, 1e38), "x")
+        c = x * 10.0  # overflows; both branches below inherit the inf
+        assert _first_nonfinite(T.neg(c) + T.abs_(c)) == "mul"
 
 
 def test_separate_contract():
@@ -164,8 +174,8 @@ def test_separate_contract():
     rng = make_rng(8)
     for blocks in model.unet.enc_blocks + model.unet.dec_blocks:
         for blk in blocks:
-            blk.mod1.scale_w.data[:] = 0.1 * rng.standard_normal(
-                blk.mod1.scale_w.data.shape)
+            scale_w = blk.mod1.w.data[:, :blk.mod1.w.data.shape[1] // 2]
+            scale_w[:] = 0.1 * rng.standard_normal(scale_w.shape)
     raw = separate(pair.dual, model, seed=3)[1]
     different = separate(pair.dual, model, seed=4)
     assert not all(np.array_equal(a, b) for a, b in zip(raw, different[1]))
@@ -210,6 +220,21 @@ def test_checkpoint_corrupted_blob_rejected(tmp_path):
     raw[-1] ^= 0xFF
     blob.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_older_format_rejected(tmp_path):
+    model = SeparationModel(tiny_config())
+    save_checkpoint(model, tmp_path / "ck")
+    manifest_path = tmp_path / "ck" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["format"] == 2
+    manifest["format"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    # a corrupted blob as well: the format is checked before any blob is hashed
+    blob = next((tmp_path / "ck" / "params").glob("*.tsr"))
+    blob.write_bytes(blob.read_bytes()[:-1])
+    with pytest.raises(CheckpointError, match="format 1, expected 2"):
         load_checkpoint(tmp_path / "ck")
 
 

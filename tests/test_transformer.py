@@ -61,8 +61,9 @@ def test_mdta_single_channel_scalar_softmax():
     m = Tensor(rng.standard_normal((3, 3, 1)))
     attn = attention_map(m, params).data
     assert np.allclose(attn, 1.0)
-    v = T.conv2d(T.conv2d(m, params.v_pw, "pointwise_1x1"), params.v_dw,
-                 "depthwise_3x3")
+    v_pw = Tensor(params.qkv_pw.data[:, 2:3])
+    v_dw = Tensor(params.qkv_dw.data[:, :, 2:3])
+    v = T.conv2d(T.conv2d(m, v_pw, "pointwise_1x1"), v_dw, "depthwise_3x3")
     want = T.conv2d(v, params.out_pw, "pointwise_1x1").data + m.data
     assert np.max(np.abs(mdta(m, params).data - want)) < 1e-12
 
@@ -82,10 +83,12 @@ def test_mdta_shape_preserved():
 def test_gdfn_zero_branches_are_identity():
     rng = make_rng(7)
     m = Tensor(rng.standard_normal((4, 4, 4)))
-    for branch in ("gate", "val"):
+    hidden = 8
+    for branch, cols in (("gate", slice(0, hidden)), ("val", slice(hidden, 2 * hidden))):
         params = FeedForwardParams(4, 2.0, make_rng(0), "ffn")
-        getattr(params, f"{branch}_pw").data[:] = 0.0
-        getattr(params, f"{branch}_dw").data[:] = 0.0
+        assert params.hidden == hidden
+        params.in_pw.data[:, cols] = 0.0
+        params.in_dw.data[:, :, cols] = 0.0
         out = gdfn(m, params)
         assert np.array_equal(out.data, m.data), branch
 
@@ -109,8 +112,9 @@ def test_gdfn_against_direct_formula():
                 y += xp[di:di + 4, dj:dj + 4, :] * k[di, dj]
         return y
 
-    gate = conv_dw(conv_pw(m, params.gate_pw.data), params.gate_dw.data)
-    val = conv_dw(conv_pw(m, params.val_pw.data), params.val_dw.data)
+    pw, dw = params.in_pw.data, params.in_dw.data
+    gate = conv_dw(conv_pw(m, pw[:, :6]), dw[:, :, :6])
+    val = conv_dw(conv_pw(m, pw[:, 6:]), dw[:, :, 6:])
     gelu = gate * 0.5 * (1.0 + erf(gate / np.sqrt(2.0)))
     want = conv_pw(gelu * val, params.out_pw.data) + m
     assert np.max(np.abs(got - want)) < 1e-10
