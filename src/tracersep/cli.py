@@ -212,12 +212,13 @@ def cmd_lbp(args, argv) -> int:
 
 def run_sweep_tau(ckpt_dir, corpus_dir, taus: list[int], seed: int = 0):
     """Per-tau corpus separation + evaluation; returns aggregate rows."""
+    for tau in taus:
+        if not 0 <= tau <= 255:
+            raise ValueError(f"tau {tau} outside [0, 255]")
     model, _ = load_checkpoint(ckpt_dir)
     pairs = load_corpus(corpus_dir)
     results = []
     for tau in taus:
-        if not 0 <= tau <= 255:
-            raise ValueError(f"tau {tau} outside [0, 255]")
         metric_rows = []
         density = []
         for idx, pair in enumerate(pairs):

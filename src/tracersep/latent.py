@@ -14,6 +14,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import Parameter, Tensor
 
+UNSHUFFLE = 2  # pixel-unshuffle factor applied to the image pair before the trunk
+SLOPE = 0.1  # leaky-ReLU negative slope in the trunk
+
 
 @dataclass
 class LpebConfig:
@@ -21,8 +24,6 @@ class LpebConfig:
     res_blocks: int = 2
     d: int = 256
     n_heads: int = 2
-    unshuffle: int = 2
-    slope: float = 0.1
 
     def __post_init__(self):
         if self.width <= 0:
@@ -37,7 +38,7 @@ class PriorEncoder:
     def __init__(self, cfg: LpebConfig, rng: np.random.Generator, prefix: str):
         self.cfg = cfg
         w = cfg.width
-        in_ch = 2 * cfg.unshuffle ** 2
+        in_ch = 2 * UNSHUFFLE ** 2
         self.conv_in = T.normal_param(rng, (3, 3, in_ch, w), (2.0 / (9 * in_ch)) ** 0.5,
                                       f"{prefix}.conv_in.k")
         self.conv_in_b = T.zeros_param((w,), f"{prefix}.conv_in.b")
@@ -69,13 +70,12 @@ class PriorEncoder:
         if a.shape != b.shape:
             raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
         x = Tensor(np.stack([a, b], axis=-1))
-        x = T.pixel_unshuffle(x, self.cfg.unshuffle)
-        x = T.leaky_relu(T.conv2d(x, self.conv_in, "full_3x3", self.conv_in_b),
-                         self.cfg.slope)
+        x = T.pixel_unshuffle(x, UNSHUFFLE)
+        x = T.leaky_relu(T.conv2d(x, self.conv_in, "full_3x3", self.conv_in_b), SLOPE)
         for k1, b1, k2, b2 in self.res:
-            h = T.leaky_relu(T.conv2d(x, k1, "full_3x3", b1), self.cfg.slope)
+            h = T.leaky_relu(T.conv2d(x, k1, "full_3x3", b1), SLOPE)
             h = T.conv2d(h, k2, "full_3x3", b2)
-            x = T.leaky_relu(x + h, self.cfg.slope)
+            x = T.leaky_relu(x + h, SLOPE)
         return T.mean(x, axis=(0, 1))  # (width,)
 
     def head(self, pooled: Tensor, i: int) -> Tensor:
@@ -120,8 +120,7 @@ class ModulationParams:
         return [self.w, self.b]
 
 
-def modulate(m: Tensor, latent_flat: Tensor, params: ModulationParams,
-             epsilon: float = 1e-5) -> Tensor:
+def modulate(m: Tensor, latent_flat: Tensor, params: ModulationParams) -> Tensor:
     """scale(L) * LayerNorm(M) + shift(L), broadcast over spatial positions."""
     c = m.data.shape[2]
     if params.w.data.shape[1] != 2 * c:
@@ -130,4 +129,4 @@ def modulate(m: Tensor, latent_flat: Tensor, params: ModulationParams,
     lrow = T.reshape(latent_flat, (1, -1))
     affine = T.reshape(T.linear(lrow, params.w, params.b), (1, 1, 2 * c))
     scale, shift = T.split(affine, 2)
-    return scale * T.layer_norm(m, axis=2, epsilon=epsilon) + shift
+    return scale * T.layer_norm(m, axis=2) + shift

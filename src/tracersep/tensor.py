@@ -2,11 +2,13 @@
 
 Everything else in the package computes on these. Arrays are flat row-major
 float32 (runtime default) or float64 (test/oracle mode); the precision is a
-run-level switch and is never mixed inside one graph.
+run-level switch and is never mixed inside one graph. Feature maps are
+H x W x C, and 3x3 convolutions are zero padded, so they keep H x W.
 """
 from __future__ import annotations
 
 import contextlib
+import math
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -496,49 +498,43 @@ def pixel_shuffle(a: Tensor, r: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolutions (spatial extents preserved, 3x3 pads by 1)
+# convolutions (spatial extents preserved, 3x3 zero padded)
 # ---------------------------------------------------------------------------
 
-def _pad1(x: np.ndarray, padding: str) -> np.ndarray:
-    mode = "edge" if padding == "replicate" else "constant"
-    return np.pad(x, ((1, 1), (1, 1), (0, 0)), mode=mode)
-
-
-def _unpad1_grad(gp: np.ndarray, padding: str) -> np.ndarray:
-    if padding != "replicate":
-        return gp[1:-1, 1:-1]
-    g = gp[1:-1, 1:-1].copy()
-    g[0, :] += gp[0, 1:-1]
-    g[-1, :] += gp[-1, 1:-1]
-    g[:, 0] += gp[1:-1, 0]
-    g[:, -1] += gp[1:-1, -1]
-    g[0, 0] += gp[0, 0]
-    g[0, -1] += gp[0, -1]
-    g[-1, 0] += gp[-1, 0]
-    g[-1, -1] += gp[-1, -1]
-    return g
-
-
-def conv2d(x: Tensor, kernel: Tensor, mode: str, bias: Tensor | None = None,
-           padding: str = "zero") -> Tensor:
-    """2-D convolution on H x W x C maps.
+def conv2d(x: Tensor, kernel: Tensor, mode: str, bias: Tensor | None = None) -> Tensor:
+    """2-D convolution on H x W x C maps; 3x3 kernels see zeros outside the map.
 
     modes: 'pointwise_1x1' kernel (Cin, Cout); 'depthwise_3x3' kernel (3, 3, C);
     'full_3x3' kernel (3, 3, Cin, Cout).
     """
-    if padding not in ("zero", "replicate"):
-        raise ValueError(f"unknown padding {padding!r}")
     if mode == "pointwise_1x1":
         out = _conv_pointwise(x, kernel)
     elif mode == "depthwise_3x3":
-        out = _conv_depthwise(x, kernel, padding)
+        out = _conv_depthwise(x, kernel)
     elif mode == "full_3x3":
-        out = _conv_full3x3(x, kernel, padding)
+        out = _conv_full3x3(x, kernel)
     else:
         raise ValueError(f"unknown conv mode {mode!r}")
     if bias is not None:
         out = add(out, bias)
     return out
+
+
+def _taps(h: int, w: int):
+    """Yield (di, dj, out window, in window) for the 9 taps of a zero-padded 3x3.
+
+    Output (i, j) reads input (i + di - 1, j + dj - 1). Reads outside the
+    h x w input would see zeros, so the windows leave them out and no padded
+    copy is made.
+    """
+    def spans(n, d):
+        return slice(max(0, 1 - d), min(n, n + 1 - d)), slice(max(0, d - 1), min(n, n + d - 1))
+
+    for di in range(3):
+        rows_out, rows_in = spans(h, di)
+        for dj in range(3):
+            cols_out, cols_in = spans(w, dj)
+            yield di, dj, (rows_out, cols_out), (rows_in, cols_in)
 
 
 def _conv_pointwise(x: Tensor, k: Tensor) -> Tensor:
@@ -556,55 +552,48 @@ def _conv_pointwise(x: Tensor, k: Tensor) -> Tensor:
     return out
 
 
-def _conv_depthwise(x: Tensor, k: Tensor, padding: str) -> Tensor:
+def _conv_depthwise(x: Tensor, k: Tensor) -> Tensor:
     h, w, c = x.data.shape
     if k.data.shape != (3, 3, c):
         raise ValueError(f"depthwise kernel {k.data.shape} vs input channels {c}")
-    xp = _pad1(x.data, padding)
     y = np.zeros_like(x.data)
-    for di in range(3):
-        for dj in range(3):
-            y += xp[di:di + h, dj:dj + w, :] * k.data[di, dj]
+    for di, dj, o, i in _taps(h, w):
+        y[o] += x.data[i] * k.data[di, dj]
     out = _result(y, (x, k), "conv_dw3x3")
     if out.requires_grad:
         def backward():
             g = out.grad
             gk = np.empty_like(k.data)
-            gxp = np.zeros_like(xp)
-            for di in range(3):
-                for dj in range(3):
-                    sl = xp[di:di + h, dj:dj + w, :]
-                    gk[di, dj] = (sl * g).sum(axis=(0, 1))
-                    gxp[di:di + h, dj:dj + w, :] += k.data[di, dj] * g
-            _accum(x, _unpad1_grad(gxp, padding))
+            gx = np.zeros_like(x.data)
+            for di, dj, o, i in _taps(h, w):
+                gk[di, dj] = (x.data[i] * g[o]).sum(axis=(0, 1))
+                gx[i] += k.data[di, dj] * g[o]
+            _accum(x, gx)
             _accum(k, gk)
         out._backward = backward
     return out
 
 
-def _conv_full3x3(x: Tensor, k: Tensor, padding: str) -> Tensor:
+def _conv_full3x3(x: Tensor, k: Tensor) -> Tensor:
     h, w, ci = x.data.shape
     if k.data.shape[:3] != (3, 3, ci):
         raise ValueError(f"3x3 kernel {k.data.shape} vs input channels {ci}")
     co = k.data.shape[3]
-    xp = _pad1(x.data, padding)
     y = np.zeros((h, w, co), dtype=x.data.dtype)
-    for di in range(3):
-        for dj in range(3):
-            sl = xp[di:di + h, dj:dj + w, :].reshape(h * w, ci)
-            y += (sl @ k.data[di, dj]).reshape(h, w, co)
+    for di, dj, o, i in _taps(h, w):
+        win = x.data[i]
+        y[o] += (win.reshape(-1, ci) @ k.data[di, dj]).reshape(win.shape[:2] + (co,))
     out = _result(y, (x, k), "conv3x3")
     if out.requires_grad:
         def backward():
-            g = out.grad.reshape(h * w, co)
             gk = np.empty_like(k.data)
-            gxp = np.zeros_like(xp)
-            for di in range(3):
-                for dj in range(3):
-                    sl = xp[di:di + h, dj:dj + w, :].reshape(h * w, ci)
-                    gk[di, dj] = sl.T @ g
-                    gxp[di:di + h, dj:dj + w, :] += (g @ k.data[di, dj].T).reshape(h, w, ci)
-            _accum(x, _unpad1_grad(gxp, padding))
+            gx = np.zeros_like(x.data)
+            for di, dj, o, i in _taps(h, w):
+                win = x.data[i]
+                g = out.grad[o].reshape(-1, co)
+                gk[di, dj] = win.reshape(-1, ci).T @ g
+                gx[i] += (g @ k.data[di, dj].T).reshape(win.shape)
+            _accum(x, gx)
             _accum(k, gk)
         out._backward = backward
     return out
@@ -745,15 +734,27 @@ def save_tsr(path, arr: np.ndarray) -> None:
 
 
 def load_tsr(path) -> np.ndarray:
+    """Read a .tsr file; a file whose size disagrees with its header is rejected."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != TSR_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        tag, rank = fh.read(2)
-        if tag not in (0, 1):
-            raise ValueError(f"{path}: unknown dtype tag {tag}")
-        shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
-        fmt = "<f4" if tag == 0 else "<f8"
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(fh.read(), dtype=fmt, count=count)
+        raw = fh.read()
+    if raw[:8] != TSR_MAGIC:
+        raise ValueError(f"{path}: bad magic {raw[:8]!r}")
+    if len(raw) < 10:
+        raise ValueError(f"{path}: truncated header: expected at least 10 bytes, "
+                         f"found {len(raw)}")
+    tag, rank = raw[8], raw[9]
+    if tag not in (0, 1):
+        raise ValueError(f"{path}: unknown dtype tag {tag}")
+    header = 10 + 8 * rank
+    if len(raw) < header:
+        raise ValueError(f"{path}: truncated header: a rank-{rank} header needs "
+                         f"{header} bytes, found {len(raw)}")
+    shape = struct.unpack(f"<{rank}Q", raw[10:header])
+    fmt = "<f4" if tag == 0 else "<f8"
+    count = math.prod(shape)
+    expected = header + count * np.dtype(fmt).itemsize
+    if len(raw) != expected:
+        raise ValueError(f"{path}: shape {shape} {fmt} expects {expected} bytes, "
+                         f"found {len(raw)}")
+    data = np.frombuffer(raw, dtype=fmt, count=count, offset=header)
     return data.reshape(shape).astype(np.float32 if tag == 0 else np.float64)

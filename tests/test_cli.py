@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tracersep.cli import dispatch, evaluate_predictions, write_pgm8, write_pgm16
+from tracersep.cli import (dispatch, evaluate_predictions, run_sweep_tau, write_pgm8,
+                           write_pgm16)
 from tracersep.evaluation import load_corpus
 from tracersep.pipeline import load_checkpoint
 from tracersep.tensor import load_tsr, save_tsr
@@ -142,6 +143,12 @@ def test_separate_alpha_one_fused_equals_raw(tmp_path, corpus, ckpt):
     for k in range(2):
         assert np.array_equal(load_tsr(out / f"fused_t{k}.tsr"),
                               load_tsr(out / f"raw_t{k}.tsr"))
+
+
+def test_sweep_tau_checks_every_tau_before_loading(tmp_path):
+    # nothing exists at either path, so only an up-front tau check can win
+    with pytest.raises(ValueError, match="tau 300 outside"):
+        run_sweep_tau(tmp_path / "no_ckpt", tmp_path / "no_corpus", [120, 300])
 
 
 def test_sweep_tau_csv_shape(tmp_path, corpus, ckpt):

@@ -4,6 +4,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tracersep import tensor as T
 from tracersep.tensor import (Adam, Parameter, Tensor, grad_check, load_tsr,
@@ -123,17 +125,33 @@ def _conv_oracle_pointwise(x, k):
     return y
 
 
-def _conv_oracle_depthwise(x, k, padding):
+def _conv_oracle_depthwise(x, k):
     h, w, c = x.shape
-    mode = "edge" if padding == "replicate" else "constant"
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)), mode=mode)
     y = np.zeros_like(x)
     for i in range(h):
         for j in range(w):
             for ch in range(c):
                 for di in range(3):
                     for dj in range(3):
-                        y[i, j, ch] += xp[i + di, j + dj, ch] * k[di, dj, ch]
+                        r, s = i + di - 1, j + dj - 1
+                        if 0 <= r < h and 0 <= s < w:
+                            y[i, j, ch] += x[r, s, ch] * k[di, dj, ch]
+    return y
+
+
+def _conv_oracle_full(x, k):
+    h, w, ci = x.shape
+    co = k.shape[3]
+    y = np.zeros((h, w, co))
+    for i in range(h):
+        for j in range(w):
+            for o in range(co):
+                for c in range(ci):
+                    for di in range(3):
+                        for dj in range(3):
+                            r, s = i + di - 1, j + dj - 1
+                            if 0 <= r < h and 0 <= s < w:
+                                y[i, j, o] += x[r, s, c] * k[di, dj, c, o]
     return y
 
 
@@ -150,12 +168,41 @@ def test_conv_against_bruteforce_oracles():
     rng = make_rng(9)
     x = rng.standard_normal((5, 5, 2))
     kp = rng.standard_normal((2, 3))
-    kd = rng.standard_normal((3, 3, 2))
     got = T.conv2d(Tensor(x), Tensor(kp), "pointwise_1x1").data
     assert np.max(np.abs(got - _conv_oracle_pointwise(x, kp))) < 1e-12
-    for pad in ("zero", "replicate"):
-        got = T.conv2d(Tensor(x), Tensor(kd), "depthwise_3x3", padding=pad).data
-        assert np.max(np.abs(got - _conv_oracle_depthwise(x, kd, pad))) < 1e-12
+    kd = rng.standard_normal((3, 3, 2))
+    kf = rng.standard_normal((3, 3, 2, 3))
+    # 1-wide maps have taps whose whole window falls outside the input
+    for shape in ((5, 5, 2), (1, 1, 2), (1, 6, 2), (6, 1, 2), (2, 3, 2)):
+        x = rng.standard_normal(shape)
+        got = T.conv2d(Tensor(x), Tensor(kd), "depthwise_3x3").data
+        assert np.max(np.abs(got - _conv_oracle_depthwise(x, kd))) < 1e-12, shape
+        got = T.conv2d(Tensor(x), Tensor(kf), "full_3x3").data
+        assert got.shape == shape[:2] + (3,)
+        assert np.max(np.abs(got - _conv_oracle_full(x, kf))) < 1e-12, shape
+
+
+# derandomized so the suite sees the same examples on every run; the f64
+# fixture only sets the precision, so reusing it across examples is safe
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(h=st.integers(1, 7), w=st.integers(1, 7), ci=st.integers(1, 4),
+       co=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_conv3x3_property_zero_padded(h, w, ci, co, seed):
+    rng = make_rng(seed)
+    x = Parameter(rng.standard_normal((h, w, ci)), "x")
+    kd = Parameter(rng.standard_normal((3, 3, ci)), "kd")
+    kf = Parameter(rng.standard_normal((3, 3, ci, co)), "kf")
+    got = T.conv2d(x, kd, "depthwise_3x3").data
+    assert np.max(np.abs(got - _conv_oracle_depthwise(x.data, kd.data))) < 1e-12
+    got = T.conv2d(x, kf, "full_3x3").data
+    assert np.max(np.abs(got - _conv_oracle_full(x.data, kf.data))) < 1e-12
+    probe_d = Tensor(rng.standard_normal((h, w, ci)))
+    probe_f = Tensor(rng.standard_normal((h, w, co)))
+    err = grad_check(lambda: T.sum_(T.conv2d(x, kd, "depthwise_3x3") * probe_d)
+                     + T.sum_(T.conv2d(x, kf, "full_3x3") * probe_f),
+                     [x, kd, kf], max_elems=12, rng=make_rng(0))
+    assert err < 1e-4
 
 
 def test_conv_shape_errors():
@@ -166,8 +213,6 @@ def test_conv_shape_errors():
         T.conv2d(x, Tensor(np.zeros((3, 3, 2))), "depthwise_3x3")
     with pytest.raises(ValueError):
         T.conv2d(x, Tensor(np.zeros((3, 3, 3))), "banana")
-    with pytest.raises(ValueError):
-        T.conv2d(x, Tensor(np.zeros((3, 3, 3))), "depthwise_3x3", padding="mirror")
 
 
 def test_linear_examples():
@@ -215,7 +260,7 @@ def test_grad_check_softmax_sum_is_constant():
 @pytest.mark.parametrize("op", [
     "add", "sub", "mul", "div", "abs", "matmul", "mean", "softmax", "gelu",
     "leaky_relu", "layer_norm", "unshuffle", "conv_pw", "conv_dw",
-    "conv_dw_rep", "conv_full", "transpose_concat", "channel", "split",
+    "conv_full", "transpose_concat", "channel", "split",
 ])
 def test_grad_check_op_family(op):
     # a stable per-op seed: hash() of a str changes with PYTHONHASHSEED
@@ -245,8 +290,6 @@ def test_grad_check_op_family(op):
         "conv_pw": (lambda: T.sum_(T.conv2d(a, kpw, "pointwise_1x1")
                                    * T.conv2d(b, kpw, "pointwise_1x1")), [a, kpw]),
         "conv_dw": (lambda: T.sum_(T.conv2d(a, kdw, "depthwise_3x3") * a), [a, kdw]),
-        "conv_dw_rep": (lambda: T.sum_(T.conv2d(a, kdw, "depthwise_3x3",
-                                                padding="replicate") * a), [a, kdw]),
         "conv_full": (lambda: T.sum_(T.conv2d(a, kfull, "full_3x3") * a), [a, kfull]),
         "transpose_concat": (lambda: T.sum_(
             T.concat([T.transpose(a, (2, 0, 1)), T.transpose(b, (2, 0, 1))], axis=0)
@@ -367,6 +410,25 @@ def test_tsr_roundtrip(tmp_path):
         assert np.array_equal(back, arr)
     raw = (tmp_path / "x.tsr").read_bytes()
     assert raw[:8] == b"MSCDTTSR"
+
+
+def test_tsr_size_must_match_header(tmp_path):
+    good = tmp_path / "good.tsr"
+    save_tsr(good, np.arange(6.0).reshape(2, 3))  # 10 + 2*8 header + 48 payload
+    raw = good.read_bytes()
+    assert len(raw) == 74
+    cases = {
+        "long.tsr": (raw + bytes(8), "expects 74 bytes, found 82"),
+        "short.tsr": (raw[:-3], "expects 74 bytes, found 71"),
+        "header.tsr": (raw[:20], "needs 26 bytes, found 20"),
+        "tagless.tsr": (raw[:9], "at least 10 bytes, found 9"),
+    }
+    for name, (data, message) in cases.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=message) as info:
+            load_tsr(path)
+        assert name in str(info.value)
 
 
 def test_tsr_bad_magic(tmp_path):
