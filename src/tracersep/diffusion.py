@@ -95,7 +95,7 @@ class Denoiser:
         # direct input path, initialized at one: at the high-noise steps of a
         # short schedule the best noise estimate is close to the input itself,
         # which keeps early reverse rollouts bounded instead of amplifying
-        self.skip = Parameter(np.ones(out_dim), f"{prefix}.skip")
+        self.skip = T.ones_param((out_dim,), f"{prefix}.skip")
 
     def parameters(self) -> list[Parameter]:
         return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.skip]

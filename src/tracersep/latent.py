@@ -113,8 +113,8 @@ class ModulationParams:
                  prefix: str):
         std = 1e-2 / in_dim ** 0.5
         (self.w,) = T.fused_normal_params(rng, [((in_dim, channels), std, f"{prefix}.w")], 2)
-        self.b = Parameter(np.concatenate([np.ones(channels), np.zeros(channels)]),
-                           f"{prefix}.b")
+        self.b = T.make_param((2 * channels,), f"{prefix}.b",
+                              lambda: np.concatenate([np.ones(channels), np.zeros(channels)]))
 
     def parameters(self) -> list[Parameter]:
         return [self.w, self.b]

@@ -1,6 +1,7 @@
 """Joint training, end-to-end separation, and checkpoint persistence."""
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
@@ -63,33 +64,37 @@ class TrainConfig:
 class SeparationModel:
     """All parameter groups plus the schedule and texture configuration."""
 
-    def __init__(self, cfg: ModelConfig):
+    def __init__(self, cfg: ModelConfig, filled: bool = True):
+        """filled=False builds every parameter unfilled (see `tensor.unfilled`):
+        nothing is drawn or written, and load_checkpoint reads each into place."""
         self.cfg = cfg
         rng = make_rng(cfg.init_seed)
         lpeb = LpebConfig(width=cfg.lpeb_width, res_blocks=cfg.lpeb_res_blocks,
                           d=cfg.d, n_heads=cfg.n_tracers)
         cond_cfg = LpebConfig(width=cfg.lpeb_width, res_blocks=cfg.lpeb_res_blocks,
                               d=cfg.d, n_heads=1)
-        self.msp_encoder = PriorEncoder(lpeb, rng, "msp")
-        self.cond_encoder = PriorEncoder(cond_cfg, rng, "cond")
-        self.denoiser = Denoiser(
-            DenoiserConfig(d=cfg.d, n_tracers=cfg.n_tracers,
-                           hidden=cfg.denoiser_hidden, steps=cfg.diffusion_steps),
-            rng, "denoiser")
-        self.unet = UNet(
-            UNetConfig(levels=cfg.unet_levels, heads=list(cfg.unet_heads),
-                       channels=list(cfg.unet_channels), blocks=list(cfg.unet_blocks),
-                       gdfn_expansion=cfg.gdfn_expansion, n_tracers=cfg.n_tracers,
-                       d=cfg.d),
-            rng, "unet")
-        # Start every latent-modulation path inert. The transformer then
-        # behaves identically whether it sees a training rollout or an
-        # inference rollout, and only learns to read the latent once the
-        # denoiser produces consistent ones.
-        for blocks in self.unet.enc_blocks + self.unet.dec_blocks:
-            for blk in blocks:
-                for mod in (blk.mod1, blk.mod2):
-                    mod.w.data[:] = 0.0
+        with contextlib.nullcontext() if filled else T.unfilled():
+            self.msp_encoder = PriorEncoder(lpeb, rng, "msp")
+            self.cond_encoder = PriorEncoder(cond_cfg, rng, "cond")
+            self.denoiser = Denoiser(
+                DenoiserConfig(d=cfg.d, n_tracers=cfg.n_tracers,
+                               hidden=cfg.denoiser_hidden, steps=cfg.diffusion_steps),
+                rng, "denoiser")
+            self.unet = UNet(
+                UNetConfig(levels=cfg.unet_levels, heads=list(cfg.unet_heads),
+                           channels=list(cfg.unet_channels), blocks=list(cfg.unet_blocks),
+                           gdfn_expansion=cfg.gdfn_expansion, n_tracers=cfg.n_tracers,
+                           d=cfg.d),
+                rng, "unet")
+        if filled:
+            # Start every latent-modulation path inert. The transformer then
+            # behaves identically whether it sees a training rollout or an
+            # inference rollout, and only learns to read the latent once the
+            # denoiser produces consistent ones.
+            for blocks in self.unet.enc_blocks + self.unet.dec_blocks:
+                for blk in blocks:
+                    for mod in (blk.mod1, blk.mod2):
+                        mod.w.data[:] = 0.0
         self.schedule = build_schedule(cfg.diffusion_steps, cfg.beta_start, cfg.beta_end)
         self.texture = cfg.texture()
 
@@ -234,28 +239,26 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def save_checkpoint(model: SeparationModel, path, optimizer: Adam | None = None,
                     step: int = 0, seed: int = 0,
                     loss_tail: list | None = None) -> None:
     root = Path(path)
     (root / "params").mkdir(parents=True, exist_ok=True)
     blobs = {}
+
+    def write(rel: str, arr: np.ndarray) -> None:
+        hasher = hashlib.sha256()
+        save_tsr(root / rel, arr, hasher=hasher)
+        blobs[rel] = hasher.hexdigest()
+
     for p in model.parameters():
-        rel = f"params/{p.name}.tsr"
-        save_tsr(root / rel, p.data)
-        blobs[rel] = _sha256(root / rel)
+        write(f"params/{p.name}.tsr", p.data)
     adam_state = None
     if optimizer is not None:
         (root / "opt").mkdir(exist_ok=True)
         for p in model.parameters():
-            for tag, buf in (("m", optimizer.m[p.name]), ("v", optimizer.v[p.name])):
-                rel = f"opt/{p.name}.{tag}.tsr"
-                save_tsr(root / rel, buf)
-                blobs[rel] = _sha256(root / rel)
+            write(f"opt/{p.name}.m.tsr", optimizer.m[p.name])
+            write(f"opt/{p.name}.v.tsr", optimizer.v[p.name])
         adam_state = {"t": optimizer.t, "lr": optimizer.lr, "beta1": optimizer.beta1,
                       "beta2": optimizer.beta2, "eps": optimizer.eps}
     manifest = {
@@ -271,30 +274,55 @@ def save_checkpoint(model: SeparationModel, path, optimizer: Adam | None = None,
 
 
 def load_checkpoint(path) -> tuple[SeparationModel, Adam | None]:
+    """The model, and its Adam state if one was saved, from a checkpoint directory.
+
+    The model is built unfilled, so no random init is drawn. Every blob the
+    manifest lists is read once: its sha256 is taken over the bytes read,
+    and those bytes land straight in the parameter or Adam buffer they fill.
+    """
     root = Path(path)
     manifest = json.loads((root / "manifest.json").read_text())
     found = manifest.get("format")
     if found != CHECKPOINT_FORMAT:
         raise CheckpointError(f"checkpoint format {found}, expected {CHECKPOINT_FORMAT}")
-    for rel, digest in manifest["blobs"].items():
-        blob = root / rel
-        if not blob.exists():
-            raise CheckpointError(f"missing blob {rel}")
-        if _sha256(blob) != digest:
+    blobs = manifest["blobs"]
+    model = SeparationModel(ModelConfig(**manifest["model"]), filled=False)
+    params = model.parameters()
+    adam = manifest.get("adam")
+    m, v = {}, {}
+    # blob -> (parameter it belongs to, Adam buffers it fills, or None for the parameter)
+    targets = {f"params/{p.name}.tsr": (p, None) for p in params}
+    if adam:
+        for p in params:
+            targets[f"opt/{p.name}.m.tsr"] = (p, m)
+            targets[f"opt/{p.name}.v.tsr"] = (p, v)
+    for rel in targets:
+        if rel not in blobs:
+            raise CheckpointError(f"manifest has no entry for {rel}")
+    for rel, digest in blobs.items():
+        p, buffers = targets.get(rel, (None, None))
+        into = p.data if p is not None and buffers is None else None
+        hasher = hashlib.sha256()
+        try:
+            arr = load_tsr(root / rel, out=into, hasher=hasher)
+        except FileNotFoundError:
+            raise CheckpointError(f"missing blob {rel}") from None
+        except ValueError as err:
+            raise CheckpointError(f"unreadable blob {rel}: {err}") from None
+        if hasher.hexdigest() != digest:
             raise CheckpointError(f"hash mismatch for {rel}")
-    model = SeparationModel(ModelConfig(**manifest["model"]))
-    for p in model.parameters():
-        rel = f"params/{p.name}.tsr"
-        if rel not in manifest["blobs"]:
-            raise CheckpointError(f"manifest missing parameter {p.name}")
-        p.data = load_tsr(root / rel).astype(p.data.dtype)
+        if p is None:
+            continue  # listed and verified, but not part of this model
+        if arr.shape != p.data.shape:
+            raise CheckpointError(f"{rel} has shape {arr.shape}, but parameter {p.name} "
+                                  f"has shape {p.data.shape}")
+        if buffers is not None:
+            buffers[p.name] = arr if arr.dtype == p.data.dtype else arr.astype(p.data.dtype)
+        elif arr is not p.data:
+            p.data[...] = arr  # saved in the other precision
     optimizer = None
-    if manifest.get("adam"):
-        st = manifest["adam"]
-        optimizer = Adam(model.parameters(), lr=st["lr"], beta1=st["beta1"],
-                         beta2=st["beta2"], eps=st["eps"])
-        optimizer.t = st["t"]
-        for p in model.parameters():
-            optimizer.m[p.name] = load_tsr(root / f"opt/{p.name}.m.tsr").astype(p.data.dtype)
-            optimizer.v[p.name] = load_tsr(root / f"opt/{p.name}.v.tsr").astype(p.data.dtype)
+    if adam:
+        optimizer = Adam(params, lr=adam["lr"], beta1=adam["beta1"], beta2=adam["beta2"],
+                         eps=adam["eps"], m=m, v=v)
+        optimizer.t = adam["t"]
     return model, optimizer

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.special import erf
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
-_state = {"dtype": np.float32, "grad": True}
+_state = {"dtype": np.float32, "grad": True, "fill": True}
 
 TSR_MAGIC = b"MSCDTTSR"
 
@@ -54,6 +55,21 @@ def no_grad():
         yield
     finally:
         _state["grad"] = old
+
+
+@contextlib.contextmanager
+def unfilled():
+    """Build parameters without initial values, for a load to fill in place.
+
+    Inside, the parameter factories below allocate each array in the default
+    dtype and neither draw from their generator nor write the array.
+    """
+    old = _state["fill"]
+    _state["fill"] = False
+    try:
+        yield
+    finally:
+        _state["fill"] = old
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -286,10 +302,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = _result(np.matmul(a.data, b.data), (a, b), "matmul")
     if out.requires_grad:
         def backward():
-            ga = np.matmul(out.grad, b.data.swapaxes(-1, -2))
-            gb = np.matmul(a.data.swapaxes(-1, -2), out.grad)
-            _accum(a, _unbroadcast(ga, a.data.shape))
-            _accum(b, _unbroadcast(gb, b.data.shape))
+            if a.requires_grad:
+                ga = np.matmul(out.grad, b.data.swapaxes(-1, -2))
+                _accum(a, _unbroadcast(ga, a.data.shape))
+            if b.requires_grad:
+                gb = np.matmul(a.data.swapaxes(-1, -2), out.grad)
+                _accum(b, _unbroadcast(gb, b.data.shape))
         out._backward = backward
     return out
 
@@ -546,7 +564,8 @@ def _conv_pointwise(x: Tensor, k: Tensor) -> Tensor:
     if out.requires_grad:
         def backward():
             g = out.grad.reshape(h * w, -1)
-            _accum(x, (g @ k.data.T).reshape(h, w, ci))
+            if x.requires_grad:
+                _accum(x, (g @ k.data.T).reshape(h, w, ci))
             _accum(k, x.data.reshape(h * w, ci).T @ g)
         out._backward = backward
     return out
@@ -564,11 +583,12 @@ def _conv_depthwise(x: Tensor, k: Tensor) -> Tensor:
         def backward():
             g = out.grad
             gk = np.empty_like(k.data)
-            gx = np.zeros_like(x.data)
+            gx = np.zeros_like(x.data) if x.requires_grad else None
             for di, dj, o, i in _taps(h, w):
                 gk[di, dj] = (x.data[i] * g[o]).sum(axis=(0, 1))
-                gx[i] += k.data[di, dj] * g[o]
-            _accum(x, gx)
+                if gx is not None:
+                    gx[i] += k.data[di, dj] * g[o]
+            _accum(x, gx)  # a no-op, gx None, when x needs no gradient
             _accum(k, gk)
         out._backward = backward
     return out
@@ -587,13 +607,14 @@ def _conv_full3x3(x: Tensor, k: Tensor) -> Tensor:
     if out.requires_grad:
         def backward():
             gk = np.empty_like(k.data)
-            gx = np.zeros_like(x.data)
+            gx = np.zeros_like(x.data) if x.requires_grad else None
             for di, dj, o, i in _taps(h, w):
                 win = x.data[i]
                 g = out.grad[o].reshape(-1, co)
                 gk[di, dj] = win.reshape(-1, ci).T @ g
-                gx[i] += (g @ k.data[di, dj].T).reshape(win.shape)
-            _accum(x, gx)
+                if gx is not None:
+                    gx[i] += (g @ k.data[di, dj].T).reshape(win.shape)
+            _accum(x, gx)  # a no-op, gx None, when x needs no gradient
             _accum(k, gk)
         out._backward = backward
     return out
@@ -655,7 +676,9 @@ class Adam:
     """Bias-corrected Adam; moment buffers keyed by parameter name."""
 
     def __init__(self, params: Sequence[Parameter], lr: float = 2e-4,
-                 beta1: float = 0.9, beta2: float = 0.99, eps: float = 1e-8):
+                 beta1: float = 0.9, beta2: float = 0.99, eps: float = 1e-8,
+                 m: dict | None = None, v: dict | None = None):
+        """m and v resume saved moment buffers; a fresh run starts them at zero."""
         self.params = list(params)
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
@@ -665,8 +688,8 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+        self.m = m if m is not None else {p.name: np.zeros_like(p.data) for p in self.params}
+        self.v = v if v is not None else {p.name: np.zeros_like(p.data) for p in self.params}
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -687,8 +710,21 @@ class Adam:
             p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
+def _unfilled_param(shape, name: str) -> Parameter:
+    p = Parameter((), name)  # an empty array passes the finite check unread
+    p.data = np.empty(shape, dtype=_state["dtype"])
+    return p
+
+
+def make_param(shape, name: str, values: Callable[[], np.ndarray]) -> Parameter:
+    """A parameter holding values(), or, inside `unfilled`, one left unwritten."""
+    if not _state["fill"]:
+        return _unfilled_param(shape, name)
+    return Parameter(values(), name)
+
+
 def normal_param(rng: np.random.Generator, shape, std: float, name: str) -> Parameter:
-    return Parameter(rng.standard_normal(shape) * std, name)
+    return make_param(shape, name, lambda: rng.standard_normal(shape) * std)
 
 
 def fused_normal_params(rng: np.random.Generator, specs, branches: int) -> list[Parameter]:
@@ -699,8 +735,10 @@ def fused_normal_params(rng: np.random.Generator, specs, branches: int) -> list[
     calls per branch would draw them, and are written straight into one
     array per spec in the default dtype.
     """
-    arrays = [np.empty(shape[:-1] + (branches * shape[-1],), dtype=_state["dtype"])
-              for shape, _, _ in specs]
+    shapes = [shape[:-1] + (branches * shape[-1],) for shape, _, _ in specs]
+    if not _state["fill"]:
+        return [_unfilled_param(shape, name) for shape, (_, _, name) in zip(shapes, specs)]
+    arrays = [np.empty(shape, dtype=_state["dtype"]) for shape in shapes]
     for i in range(branches):
         for arr, (shape, std, _) in zip(arrays, specs):
             arr[..., i * shape[-1]:(i + 1) * shape[-1]] = rng.standard_normal(shape) * std
@@ -708,14 +746,19 @@ def fused_normal_params(rng: np.random.Generator, specs, branches: int) -> list[
 
 
 def zeros_param(shape, name: str) -> Parameter:
-    return Parameter(np.zeros(shape), name)
+    return make_param(shape, name, lambda: np.zeros(shape))
+
+
+def ones_param(shape, name: str) -> Parameter:
+    return make_param(shape, name, lambda: np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
 # .tsr serialization
 # ---------------------------------------------------------------------------
 
-def save_tsr(path, arr: np.ndarray) -> None:
+def save_tsr(path, arr: np.ndarray, hasher=None) -> None:
+    """Write arr as a .tsr file; hasher (a hashlib object) is fed every byte written."""
     arr = np.asarray(arr)
     if arr.ndim:  # ascontiguousarray would promote rank 0 to rank 1
         arr = np.ascontiguousarray(arr)
@@ -725,36 +768,57 @@ def save_tsr(path, arr: np.ndarray) -> None:
         tag, fmt = 1, "<f8"
     else:
         raise ValueError(f"unsupported dtype {arr.dtype} for .tsr")
+    header = TSR_MAGIC + bytes([tag, arr.ndim]) + struct.pack(f"<{arr.ndim}Q", *arr.shape)
+    payload = arr.astype(fmt, copy=False).reshape(-1).view(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(TSR_MAGIC)
-        fh.write(bytes([tag, arr.ndim]))
-        for e in arr.shape:
-            fh.write(struct.pack("<Q", e))
-        fh.write(arr.astype(fmt).tobytes())
+        fh.write(header)
+        fh.write(payload)
+    if hasher is not None:
+        hasher.update(header)
+        hasher.update(payload)
 
 
-def load_tsr(path) -> np.ndarray:
-    """Read a .tsr file; a file whose size disagrees with its header is rejected."""
+def load_tsr(path, out: np.ndarray | None = None, hasher=None) -> np.ndarray:
+    """Read a .tsr file in one pass; a file whose size disagrees with its header is rejected.
+
+    The payload is read straight into an array of the header's shape and
+    dtype: into `out` when it is a C-contiguous array of that shape and dtype,
+    else into a new aligned array. The array read into is returned. hasher (a
+    hashlib object) is fed every byte of the file, so its digest can be
+    checked without reading the file again.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != TSR_MAGIC:
-        raise ValueError(f"{path}: bad magic {raw[:8]!r}")
-    if len(raw) < 10:
-        raise ValueError(f"{path}: truncated header: expected at least 10 bytes, "
-                         f"found {len(raw)}")
-    tag, rank = raw[8], raw[9]
-    if tag not in (0, 1):
-        raise ValueError(f"{path}: unknown dtype tag {tag}")
-    header = 10 + 8 * rank
-    if len(raw) < header:
-        raise ValueError(f"{path}: truncated header: a rank-{rank} header needs "
-                         f"{header} bytes, found {len(raw)}")
-    shape = struct.unpack(f"<{rank}Q", raw[10:header])
-    fmt = "<f4" if tag == 0 else "<f8"
-    count = math.prod(shape)
-    expected = header + count * np.dtype(fmt).itemsize
-    if len(raw) != expected:
-        raise ValueError(f"{path}: shape {shape} {fmt} expects {expected} bytes, "
-                         f"found {len(raw)}")
-    data = np.frombuffer(raw, dtype=fmt, count=count, offset=header)
-    return data.reshape(shape).astype(np.float32 if tag == 0 else np.float64)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(10)
+        if head[:8] != TSR_MAGIC:
+            raise ValueError(f"{path}: bad magic {head[:8]!r}")
+        if size < 10:
+            raise ValueError(f"{path}: truncated header: expected at least 10 bytes, "
+                             f"found {size}")
+        tag, rank = head[8], head[9]
+        if tag not in (0, 1):
+            raise ValueError(f"{path}: unknown dtype tag {tag}")
+        header = 10 + 8 * rank
+        if size < header:
+            raise ValueError(f"{path}: truncated header: a rank-{rank} header needs "
+                             f"{header} bytes, found {size}")
+        dims = fh.read(8 * rank)
+        shape = struct.unpack(f"<{rank}Q", dims)
+        fmt = "<f4" if tag == 0 else "<f8"
+        expected = header + math.prod(shape) * np.dtype(fmt).itemsize
+        if size != expected:
+            raise ValueError(f"{path}: shape {shape} {fmt} expects {expected} bytes, "
+                             f"found {size}")
+        if (out is None or out.shape != shape or out.dtype != fmt
+                or not out.flags.c_contiguous):
+            out = np.empty(shape, dtype=fmt)
+        payload = out.reshape(-1).view(np.uint8)
+        got = fh.readinto(payload)
+        if got != payload.size:
+            raise ValueError(f"{path}: shape {shape} {fmt} expects {expected} bytes, "
+                             f"read {header + got}")
+    if hasher is not None:
+        hasher.update(head)
+        hasher.update(dims)
+        hasher.update(payload)
+    return out

@@ -64,7 +64,7 @@ class AttentionParams:
             rng, [((channels, channels), std, f"{prefix}.qkv_pw"),
                   ((3, 3, channels), 1.0 / 3.0, f"{prefix}.qkv_dw")], 3)
         self.out_pw = T.normal_param(rng, (channels, channels), std, f"{prefix}.out_pw")
-        self.gamma = Parameter(np.ones((heads, 1, 1)), f"{prefix}.gamma")
+        self.gamma = T.ones_param((heads, 1, 1), f"{prefix}.gamma")
 
     def parameters(self) -> list[Parameter]:
         return [self.qkv_pw, self.qkv_dw, self.out_pw, self.gamma]

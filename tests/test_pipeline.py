@@ -1,4 +1,5 @@
 """Joint training, inference, and checkpointing."""
+import hashlib
 import json
 
 import numpy as np
@@ -9,7 +10,8 @@ from tracersep.evaluation import PhantomSpec, gen_phantom
 from tracersep.pipeline import (CheckpointError, ModelConfig, SeparationModel,
                                 TrainConfig, load_checkpoint, loss_tm,
                                 save_checkpoint, separate, train, train_step)
-from tracersep.tensor import Adam, Parameter, Tensor, grad_check, make_rng
+from tracersep.tensor import (Adam, Parameter, Tensor, grad_check, load_tsr, make_rng,
+                              save_tsr)
 from tracersep.texture import TextureConfig
 
 
@@ -244,3 +246,91 @@ def test_checkpoint_missing_blob_rejected(tmp_path):
     next((tmp_path / "ck" / "params").glob("*.tsr")).unlink()
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "ck")
+
+
+def trained_checkpoint(root, steps=2):
+    """A tiny model after `steps` Adam steps, saved with its optimizer state."""
+    model = SeparationModel(tiny_config())
+    opt = Adam(model.parameters(), lr=2e-4)
+    cfg = TrainConfig(steps=steps, batch=1, seed=0)
+    rng = make_rng(0)
+    for step in range(steps):
+        train_step(tiny_pairs(1), model, opt, cfg, rng, step, steps)
+    save_checkpoint(model, root, optimizer=opt, step=steps, seed=0)
+    return model, opt
+
+
+def rewrite_manifest(root, edit):
+    path = root / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+def test_checkpoint_roundtrip_with_adam_is_bit_equal(tmp_path, prec):
+    with T.precision(prec):
+        model, opt = trained_checkpoint(tmp_path / "ck")
+        loaded, opt2 = load_checkpoint(tmp_path / "ck")
+    assert opt2.t == opt.t == 2
+    for a, b in zip(model.parameters(), loaded.parameters()):
+        assert a.name == b.name
+        for x, y in ((a.data, b.data), (opt.m[a.name], opt2.m[b.name]),
+                     (opt.v[a.name], opt2.v[b.name])):
+            assert x.dtype == y.dtype == (np.float32 if prec == "f32" else np.float64)
+            assert x.tobytes() == y.tobytes()
+
+
+def test_loaded_arrays_are_aligned_writable_contiguous(tmp_path):
+    trained_checkpoint(tmp_path / "ck")
+    loaded, opt = load_checkpoint(tmp_path / "ck")
+    for p in loaded.parameters():
+        for arr in (p.data, opt.m[p.name], opt.v[p.name]):
+            assert arr.flags.aligned and arr.flags.writeable and arr.flags.c_contiguous
+
+
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
+    model = SeparationModel(tiny_config())
+    save_checkpoint(model, tmp_path / "ck")
+
+    class NoDraws(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            raise AssertionError("standard_normal drawn")
+
+    monkeypatch.setattr(np.random, "Generator", NoDraws)
+    with pytest.raises(AssertionError, match="standard_normal drawn"):
+        SeparationModel(tiny_config())  # the patch does catch a fresh init
+    loaded, _ = load_checkpoint(tmp_path / "ck")
+    for a, b in zip(model.parameters(), loaded.parameters()):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_save_checkpoint_digests_are_file_sha256(tmp_path):
+    trained_checkpoint(tmp_path / "ck")
+    blobs = json.loads((tmp_path / "ck" / "manifest.json").read_text())["blobs"]
+    assert any(rel.startswith("opt/") for rel in blobs)
+    for rel, digest in blobs.items():
+        assert digest == hashlib.sha256((tmp_path / "ck" / rel).read_bytes()).hexdigest()
+
+
+def test_checkpoint_unlisted_adam_state_rejected(tmp_path):
+    trained_checkpoint(tmp_path / "ck")
+    rel = "opt/msp.conv_in.b.m.tsr"
+    rewrite_manifest(tmp_path / "ck", lambda m: m["blobs"].pop(rel))
+    with pytest.raises(CheckpointError, match=rel):
+        load_checkpoint(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("rel", ["params/msp.conv_in.b.tsr", "opt/msp.conv_in.b.m.tsr",
+                                 "opt/msp.conv_in.b.v.tsr"])
+def test_checkpoint_blob_with_wrong_shape_rejected(tmp_path, rel):
+    trained_checkpoint(tmp_path / "ck")
+    blob = tmp_path / "ck" / rel
+    assert load_tsr(blob).shape == (4,)
+    save_tsr(blob, np.zeros(3, dtype=np.float32))
+    digest = hashlib.sha256(blob.read_bytes()).hexdigest()
+    rewrite_manifest(tmp_path / "ck", lambda m: m["blobs"].__setitem__(rel, digest))
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(tmp_path / "ck")
+    message = str(info.value)
+    assert "msp.conv_in.b" in message and "(3,)" in message and "(4,)" in message

@@ -1,4 +1,5 @@
 """Autograd core: op oracles, gradient checks, optimizer, serialization."""
+import hashlib
 import math
 import zlib
 
@@ -321,6 +322,27 @@ def test_split_views_and_errors():
         T.split(x, 0)
 
 
+@pytest.mark.parametrize("op", ["pointwise_1x1", "depthwise_3x3", "full_3x3", "matmul"])
+def test_backward_skips_the_gradient_of_an_input_that_needs_none(op):
+    rng = make_rng(zlib.crc32(op.encode()))
+    shapes = {"pointwise_1x1": ((4, 5, 3), (3, 2)), "depthwise_3x3": ((4, 5, 3), (3, 3, 3)),
+              "full_3x3": ((4, 5, 3), (3, 3, 3, 2)), "matmul": ((4, 3), (3, 2))}
+    xs, ks = shapes[op]
+    x_data, k_data = rng.standard_normal(xs), rng.standard_normal(ks)
+
+    def grads(x):
+        k = Parameter(k_data, "k")
+        y = T.matmul(x, k) if op == "matmul" else T.conv2d(x, k, op)
+        probe = np.linspace(-1.0, 1.0, y.data.size).reshape(y.data.shape)
+        T.sum_(y * Tensor(probe)).backward()
+        return k.grad
+
+    const = Tensor(x_data)
+    trained = Parameter(x_data, "x")
+    assert grads(const).tobytes() == grads(trained).tobytes()
+    assert const.grad is None and trained.grad is not None
+
+
 def test_mean_sum_axes():
     rng = make_rng(17)
     x = rng.standard_normal((3, 4, 5))
@@ -410,6 +432,25 @@ def test_tsr_roundtrip(tmp_path):
         assert np.array_equal(back, arr)
     raw = (tmp_path / "x.tsr").read_bytes()
     assert raw[:8] == b"MSCDTTSR"
+
+
+def test_tsr_reads_into_out_and_hashes_every_byte(tmp_path):
+    path = tmp_path / "x.tsr"
+    arr = make_rng(3).standard_normal((3, 4))
+    written = hashlib.sha256()
+    save_tsr(path, arr, hasher=written)
+    assert written.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+    read = hashlib.sha256()
+    out = np.empty((3, 4))
+    assert load_tsr(path, out=out, hasher=read) is out
+    assert read.hexdigest() == written.hexdigest()
+    assert np.array_equal(out, arr)
+    # an `out` of another shape or dtype is left alone
+    for other in (np.zeros((4, 3)), np.zeros((3, 4), dtype=np.float32)):
+        back = load_tsr(path, out=other)
+        assert back is not other and not other.any()
+        assert back.dtype == np.float64 and np.array_equal(back, arr)
+        assert back.flags.aligned and back.flags.writeable and back.flags.c_contiguous
 
 
 def test_tsr_size_must_match_header(tmp_path):
