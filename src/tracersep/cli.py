@@ -22,8 +22,8 @@ from . import __version__
 from . import tensor as T
 from .evaluation import (MetricsRow, PhantomPair, PhantomSpec, evaluate_pair,
                          load_corpus, save_corpus, write_metrics_csv)
-from .pipeline import (ModelConfig, SeparationModel, TrainConfig, load_checkpoint,
-                       save_checkpoint, separate, train)
+from .pipeline import (ARCHIVE, META, ModelConfig, SeparationModel, TrainConfig,
+                       load_checkpoint, save_checkpoint, separate, train)
 from .tensor import load_tsr, save_tsr
 from .texture import image_mask, lbp_map, masked_texture, texture_mask
 
@@ -75,7 +75,7 @@ def _write_manifest(directory: Path, command: str, argv: list[str], config: dict
 
 
 def _ckpt_sha(ckpt_dir: Path) -> str:
-    return hashlib.sha256((ckpt_dir / "manifest.json").read_bytes()).hexdigest()
+    return hashlib.sha256((ckpt_dir / META).read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -123,20 +123,10 @@ def cmd_train(args, argv) -> int:
         history = train(pairs, model, train_cfg, log_every=args.log_every)
         save_checkpoint(model, out, step=train_cfg.steps, seed=train_cfg.seed,
                         loss_tail=[list(h) for h in history[-20:]])
-    # the run record shares manifest.json with the checkpoint, so merge
-    sha = _ckpt_sha(out)
-    manifest = json.loads((out / "manifest.json").read_text())
-    manifest.update({
-        "command": "train",
-        "argv": argv,
-        "config": {"model": model_cfg.__dict__, "train": train_cfg.__dict__},
-        "version": __version__,
-        "inputs": [str(args.data)],
-        "outputs": sorted(manifest["blobs"]),
-        "checkpoint_sha": sha,
-        "wall_clock_s": round(time.time() - started, 3),
-    })
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_manifest(out, "train", argv,
+                    {"model": model_cfg.__dict__, "train": train_cfg.__dict__},
+                    train_cfg.seed, [str(args.data)], [META, ARCHIVE], started,
+                    checkpoint_sha=_ckpt_sha(out))
     return 0
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from .diffusion import (Denoiser, DenoiserConfig, build_schedule, denoise_full,
                         forward_sample, loss_dm)
 from .evaluation import PhantomPair
 from .latent import LpebConfig, PriorEncoder, extract_condition, extract_msp
-from .tensor import Adam, Parameter, Tensor, load_tsr, make_rng, no_grad, save_tsr
+from .tensor import Adam, Parameter, Tensor, make_rng, no_grad
 from .texture import TextureConfig, fuse, image_mask, masked_texture
 from .transformer import UNet, UNetConfig, unet_forward
 
@@ -215,6 +216,7 @@ def separate(dual: np.ndarray, model: SeparationModel, seed: int,
     cfg = model.cfg
     tau = model.texture.tau if tau is None else tau
     alpha = model.texture.alpha if alpha is None else alpha
+    TextureConfig(tau=tau, alpha=alpha)  # rejects either out of range before any stage runs
     rng = make_rng(seed)
     with no_grad():
         u_dual = masked_texture(dual, image_mask(dual, tau))
@@ -231,8 +233,9 @@ def separate(dual: np.ndarray, model: SeparationModel, seed: int,
 # checkpoints
 # ---------------------------------------------------------------------------
 
-# format 2: fused qkv / project_in / scale|shift parameters (see transformer.py)
-CHECKPOINT_FORMAT = 2
+# format 3: one archive of .tsr records; format 2 kept one blob per tensor
+CHECKPOINT_FORMAT = 3
+META, ARCHIVE = "checkpoint.json", "arrays.tsrs"
 
 
 class CheckpointError(RuntimeError):
@@ -242,87 +245,79 @@ class CheckpointError(RuntimeError):
 def save_checkpoint(model: SeparationModel, path, optimizer: Adam | None = None,
                     step: int = 0, seed: int = 0,
                     loss_tail: list | None = None) -> None:
+    """Write checkpoint.json and the archive of the parameters, then, with an
+    optimizer, Adam's m and v, each in `model.parameters()` order."""
     root = Path(path)
-    (root / "params").mkdir(parents=True, exist_ok=True)
-    blobs = {}
-
-    def write(rel: str, arr: np.ndarray) -> None:
-        hasher = hashlib.sha256()
-        save_tsr(root / rel, arr, hasher=hasher)
-        blobs[rel] = hasher.hexdigest()
-
-    for p in model.parameters():
-        write(f"params/{p.name}.tsr", p.data)
+    root.mkdir(parents=True, exist_ok=True)
+    params = model.parameters()
+    arrays = [p.data for p in params]
     adam_state = None
     if optimizer is not None:
-        (root / "opt").mkdir(exist_ok=True)
-        for p in model.parameters():
-            write(f"opt/{p.name}.m.tsr", optimizer.m[p.name])
-            write(f"opt/{p.name}.v.tsr", optimizer.v[p.name])
+        arrays += [optimizer.m[p.name] for p in params] + [optimizer.v[p.name] for p in params]
         adam_state = {"t": optimizer.t, "lr": optimizer.lr, "beta1": optimizer.beta1,
                       "beta2": optimizer.beta2, "eps": optimizer.eps}
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "model": asdict(model.cfg),
-        "step": step,
-        "seed": seed,
-        "loss_tail": loss_tail or [],
-        "adam": adam_state,
-        "blobs": blobs,
-    }
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    hasher = hashlib.sha256()
+    with open(root / ARCHIVE, "wb") as fh:
+        for arr in arrays:
+            T.write_tsr_record(fh, arr, hasher)
+    meta = {"format": CHECKPOINT_FORMAT, "model": asdict(model.cfg),
+            "names": [p.name for p in params], "step": step, "seed": seed,
+            "loss_tail": loss_tail or [], "adam": adam_state, "sha256": hasher.hexdigest()}
+    (root / META).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> tuple[SeparationModel, Adam | None]:
     """The model, and its Adam state if one was saved, from a checkpoint directory.
 
-    The model is built unfilled, so no random init is drawn. Every blob the
-    manifest lists is read once: its sha256 is taken over the bytes read,
-    and those bytes land straight in the parameter or Adam buffer they fill.
+    The model is built unfilled, so no random init is drawn. The archive is
+    read once, each record straight into the parameter or Adam buffer it
+    fills, and its sha256 is taken over the bytes read.
     """
     root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text())
-    found = manifest.get("format")
+    meta_path = root / META
+    if not meta_path.is_file() and (root / "manifest.json").is_file():
+        meta_path = root / "manifest.json"  # where formats 1 and 2 kept theirs
+    meta = json.loads(meta_path.read_text())
+    found = meta.get("format")
     if found != CHECKPOINT_FORMAT:
         raise CheckpointError(f"checkpoint format {found}, expected {CHECKPOINT_FORMAT}")
-    blobs = manifest["blobs"]
-    model = SeparationModel(ModelConfig(**manifest["model"]), filled=False)
+    model = SeparationModel(ModelConfig(**meta["model"]), filled=False)
     params = model.parameters()
-    adam = manifest.get("adam")
-    m, v = {}, {}
-    # blob -> (parameter it belongs to, Adam buffers it fills, or None for the parameter)
-    targets = {f"params/{p.name}.tsr": (p, None) for p in params}
-    if adam:
-        for p in params:
-            targets[f"opt/{p.name}.m.tsr"] = (p, m)
-            targets[f"opt/{p.name}.v.tsr"] = (p, v)
-    for rel in targets:
-        if rel not in blobs:
-            raise CheckpointError(f"manifest has no entry for {rel}")
-    for rel, digest in blobs.items():
-        p, buffers = targets.get(rel, (None, None))
-        into = p.data if p is not None and buffers is None else None
-        hasher = hashlib.sha256()
-        try:
-            arr = load_tsr(root / rel, out=into, hasher=hasher)
-        except FileNotFoundError:
-            raise CheckpointError(f"missing blob {rel}") from None
-        except ValueError as err:
-            raise CheckpointError(f"unreadable blob {rel}: {err}") from None
-        if hasher.hexdigest() != digest:
-            raise CheckpointError(f"hash mismatch for {rel}")
-        if p is None:
-            continue  # listed and verified, but not part of this model
-        if arr.shape != p.data.shape:
-            raise CheckpointError(f"{rel} has shape {arr.shape}, but parameter {p.name} "
-                                  f"has shape {p.data.shape}")
-        if buffers is not None:
-            buffers[p.name] = arr if arr.dtype == p.data.dtype else arr.astype(p.data.dtype)
-        elif arr is not p.data:
-            p.data[...] = arr  # saved in the other precision
+    names = [p.name for p in params]
+    saved, ours = meta["names"] + [None], names + [None]
+    if saved != ours:
+        i = next(i for i, pair in enumerate(zip(saved, ours)) if pair[0] != pair[1])
+        raise CheckpointError(f"parameter names differ from the model's at entry {i}: "
+                              f"checkpoint has {saved[i]!r}, model has {ours[i]!r}")
+    adam = meta["adam"]
+    n = len(params)
+    arrays = [p.data for p in params] + ([np.empty_like(p.data) for p in params * 2]
+                                         if adam else [])
+    if not (root / ARCHIVE).is_file():
+        raise CheckpointError(f"missing archive {root / ARCHIVE}")
+    hasher = hashlib.sha256()
+    with open(root / ARCHIVE, "rb") as fh:
+        for i, into in enumerate(arrays):
+            p = params[i % n]
+            what = f"{ARCHIVE} record {i} ({p.name}{('', ' m', ' v')[i // n]})"
+            try:
+                arr = T.read_tsr_record(fh, out=into, hasher=hasher)
+            except ValueError as err:
+                raise CheckpointError(f"{what}: {err}") from None
+            if arr.shape != into.shape:
+                raise CheckpointError(f"{what} has shape {arr.shape}, but parameter "
+                                      f"{p.name} has shape {into.shape}")
+            if arr is not into:
+                into[...] = arr  # saved in the other precision
+        extra = os.fstat(fh.fileno()).st_size - fh.tell()
+    if extra:
+        raise CheckpointError(f"{ARCHIVE} has {extra} bytes after its {len(arrays)} records")
+    if hasher.hexdigest() != meta["sha256"]:
+        raise CheckpointError(f"sha256 digest mismatch for {ARCHIVE}")
     optimizer = None
     if adam:
         optimizer = Adam(params, lr=adam["lr"], beta1=adam["beta1"], beta2=adam["beta2"],
-                         eps=adam["eps"], m=m, v=v)
+                         eps=adam["eps"], m=dict(zip(names, arrays[n:2 * n])),
+                         v=dict(zip(names, arrays[2 * n:])))
         optimizer.t = adam["t"]
     return model, optimizer

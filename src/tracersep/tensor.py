@@ -757,8 +757,8 @@ def ones_param(shape, name: str) -> Parameter:
 # .tsr serialization
 # ---------------------------------------------------------------------------
 
-def save_tsr(path, arr: np.ndarray, hasher=None) -> None:
-    """Write arr as a .tsr file; hasher (a hashlib object) is fed every byte written."""
+def write_tsr_record(fh, arr: np.ndarray, hasher=None) -> None:
+    """Write arr as one .tsr record at fh's position, feeding hasher every byte."""
     arr = np.asarray(arr)
     if arr.ndim:  # ascontiguousarray would promote rank 0 to rank 1
         arr = np.ascontiguousarray(arr)
@@ -770,55 +770,71 @@ def save_tsr(path, arr: np.ndarray, hasher=None) -> None:
         raise ValueError(f"unsupported dtype {arr.dtype} for .tsr")
     header = TSR_MAGIC + bytes([tag, arr.ndim]) + struct.pack(f"<{arr.ndim}Q", *arr.shape)
     payload = arr.astype(fmt, copy=False).reshape(-1).view(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    fh.write(header)
+    fh.write(payload)
     if hasher is not None:
         hasher.update(header)
         hasher.update(payload)
 
 
-def load_tsr(path, out: np.ndarray | None = None, hasher=None) -> np.ndarray:
-    """Read a .tsr file in one pass; a file whose size disagrees with its header is rejected.
+def read_tsr_record(fh, out: np.ndarray | None = None, hasher=None) -> np.ndarray:
+    """Read one .tsr record from fh's position, leaving fh just past it.
 
-    The payload is read straight into an array of the header's shape and
-    dtype: into `out` when it is a C-contiguous array of that shape and dtype,
-    else into a new aligned array. The array read into is returned. hasher (a
-    hashlib object) is fed every byte of the file, so its digest can be
-    checked without reading the file again.
+    The header is checked against the bytes left in the file before anything
+    is allocated. The payload is read into `out` when it is a C-contiguous
+    array of the header's shape and dtype, else into a new aligned array;
+    the array read into is returned. hasher (a hashlib object) is fed every
+    byte of the record.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(10)
-        if head[:8] != TSR_MAGIC:
-            raise ValueError(f"{path}: bad magic {head[:8]!r}")
-        if size < 10:
-            raise ValueError(f"{path}: truncated header: expected at least 10 bytes, "
-                             f"found {size}")
-        tag, rank = head[8], head[9]
-        if tag not in (0, 1):
-            raise ValueError(f"{path}: unknown dtype tag {tag}")
-        header = 10 + 8 * rank
-        if size < header:
-            raise ValueError(f"{path}: truncated header: a rank-{rank} header needs "
-                             f"{header} bytes, found {size}")
-        dims = fh.read(8 * rank)
-        shape = struct.unpack(f"<{rank}Q", dims)
-        fmt = "<f4" if tag == 0 else "<f8"
-        expected = header + math.prod(shape) * np.dtype(fmt).itemsize
-        if size != expected:
-            raise ValueError(f"{path}: shape {shape} {fmt} expects {expected} bytes, "
-                             f"found {size}")
-        if (out is None or out.shape != shape or out.dtype != fmt
-                or not out.flags.c_contiguous):
-            out = np.empty(shape, dtype=fmt)
-        payload = out.reshape(-1).view(np.uint8)
-        got = fh.readinto(payload)
-        if got != payload.size:
-            raise ValueError(f"{path}: shape {shape} {fmt} expects {expected} bytes, "
-                             f"read {header + got}")
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    head = fh.read(10)
+    if head[:8] != TSR_MAGIC:
+        raise ValueError(f"bad magic {head[:8]!r}")
+    if left < 10:
+        raise ValueError(f"truncated header: expected at least 10 bytes, found {left}")
+    tag, rank = head[8], head[9]
+    if tag not in (0, 1):
+        raise ValueError(f"unknown dtype tag {tag}")
+    header = 10 + 8 * rank
+    if left < header:
+        raise ValueError(f"truncated header: a rank-{rank} header needs {header} bytes, "
+                         f"found {left}")
+    dims = fh.read(8 * rank)
+    shape = struct.unpack(f"<{rank}Q", dims)
+    fmt = "<f4" if tag == 0 else "<f8"
+    expected = header + math.prod(shape) * np.dtype(fmt).itemsize
+    if left < expected:
+        raise ValueError(f"shape {shape} {fmt} expects {expected} bytes, found {left}")
+    if (out is None or out.shape != shape or out.dtype != fmt
+            or not out.flags.c_contiguous):
+        out = np.empty(shape, dtype=fmt)
+    payload = out.reshape(-1).view(np.uint8)
+    got = fh.readinto(payload)
+    if got != payload.size:
+        raise ValueError(f"shape {shape} {fmt} expects {expected} bytes, "
+                         f"read {header + got}")
     if hasher is not None:
         hasher.update(head)
         hasher.update(dims)
         hasher.update(payload)
     return out
+
+
+def save_tsr(path, arr: np.ndarray) -> None:
+    """Write arr as a .tsr file: one record."""
+    with open(path, "wb") as fh:
+        write_tsr_record(fh, arr)
+
+
+def load_tsr(path) -> np.ndarray:
+    """Read a .tsr file; a file whose size disagrees with its header is rejected."""
+    with open(path, "rb") as fh:
+        try:
+            arr = read_tsr_record(fh)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+        size = os.fstat(fh.fileno()).st_size
+        if size != fh.tell():
+            raise ValueError(f"{path}: shape {arr.shape} {arr.dtype.str} expects "
+                             f"{fh.tell()} bytes, found {size}")
+    return arr

@@ -59,6 +59,8 @@ def lbp_map(image: np.ndarray) -> np.ndarray:
 
 def texture_mask(lbp: np.ndarray, tau: int = 180) -> np.ndarray:
     """Binary mask: 1 where the LBP code is >= tau."""
+    if not 0 <= tau <= 255:
+        raise ValueError(f"tau {tau} outside [0, 255]")
     lbp = np.asarray(lbp)
     if lbp.min() < 0 or lbp.max() > 255:
         raise ValueError("LBP codes outside [0, 255]")

@@ -114,8 +114,38 @@ def test_train_writes_checkpoint_and_manifest(ckpt):
     model, _ = load_checkpoint(ckpt)
     assert model.cfg.d == 4
     manifest = json.loads((ckpt / "manifest.json").read_text())
-    # checkpoint manifest doubles as the training run record via blobs
-    assert "blobs" in manifest or manifest.get("command") == "train"
+    # an ordinary run record next to the checkpoint's own two files
+    assert manifest["command"] == "train"
+    assert manifest["outputs"] == ["checkpoint.json", "arrays.tsrs"]
+    assert sorted(p.name for p in ckpt.iterdir()) == ["arrays.tsrs", "checkpoint.json",
+                                                      "manifest.json"]
+
+
+def test_checkpoint_sha_agrees_across_commands(tmp_path, corpus, ckpt):
+    sep, sweep = tmp_path / "sep", tmp_path / "sweep"
+    assert dispatch(["separate", "--ckpt", str(ckpt), "--input",
+                     str(corpus / "p0000_dual.tsr"), "--out", str(sep)]) == 0
+    assert dispatch(["sweep-tau", "--ckpt", str(ckpt), "--data", str(corpus),
+                     "--taus", "180", "--out", str(sweep / "sweep.csv")]) == 0
+    shas = {json.loads((d / "manifest.json").read_text())["checkpoint_sha"]
+            for d in (ckpt, sep, sweep)}
+    assert len(shas) == 1 and None not in shas
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["separate", "--tau", "300"], "tau 300 outside"),
+    (["separate", "--alpha", "1.5"], "alpha 1.5 outside"),
+    (["lbp", "--tau", "999"], "tau 999 outside"),
+])
+def test_out_of_range_texture_settings_exit_one(tmp_path, corpus, ckpt, capsys, argv,
+                                                message):
+    if argv[0] == "separate":
+        argv = argv + ["--ckpt", str(ckpt)]
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--input", str(corpus / "p0000_dual.tsr"),
+                            "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_separate_and_replay_bit_identical(tmp_path, corpus, ckpt):

@@ -1,17 +1,20 @@
 """Joint training, inference, and checkpointing."""
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tracersep import pipeline
 from tracersep import tensor as T
 from tracersep.evaluation import PhantomSpec, gen_phantom
 from tracersep.pipeline import (CheckpointError, ModelConfig, SeparationModel,
                                 TrainConfig, load_checkpoint, loss_tm,
                                 save_checkpoint, separate, train, train_step)
-from tracersep.tensor import (Adam, Parameter, Tensor, grad_check, load_tsr, make_rng,
-                              save_tsr)
+from tracersep.tensor import Adam, Parameter, Tensor, grad_check, make_rng, save_tsr
 from tracersep.texture import TextureConfig
 
 
@@ -183,6 +186,20 @@ def test_separate_contract():
     assert not all(np.array_equal(a, b) for a, b in zip(raw, different[1]))
 
 
+@pytest.mark.parametrize("kw, message", [({"tau": 300}, "tau 300 outside"),
+                                         ({"tau": -1}, "tau -1 outside"),
+                                         ({"alpha": 1.5}, "alpha 1.5 outside")])
+def test_separate_rejects_out_of_range_texture_settings_first(monkeypatch, kw, message):
+    model = SeparationModel(tiny_config())
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("the condition encoder ran")
+
+    monkeypatch.setattr(pipeline, "extract_condition", no_stage)
+    with pytest.raises(ValueError, match=message):
+        separate(tiny_pairs(1)[0].dual, model, seed=0, **kw)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     model = SeparationModel(tiny_config())
     pairs = tiny_pairs(1)
@@ -214,37 +231,69 @@ def test_checkpoint_with_optimizer_state(tmp_path):
         assert np.array_equal(opt.v[p.name], opt2.v[p.name])
 
 
+def archive(root):
+    return root / "arrays.tsrs"
+
+
+def rewrite_meta(root, edit):
+    path = root / "checkpoint.json"
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+
+
 def test_checkpoint_corrupted_blob_rejected(tmp_path):
     model = SeparationModel(tiny_config())
     save_checkpoint(model, tmp_path / "ck")
-    blob = next((tmp_path / "ck" / "params").glob("*.tsr"))
-    raw = bytearray(blob.read_bytes())
+    raw = bytearray(archive(tmp_path / "ck").read_bytes())
     raw[-1] ^= 0xFF
-    blob.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError):
+    archive(tmp_path / "ck").write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="digest mismatch for arrays.tsrs"):
         load_checkpoint(tmp_path / "ck")
 
 
 def test_checkpoint_older_format_rejected(tmp_path):
     model = SeparationModel(tiny_config())
     save_checkpoint(model, tmp_path / "ck")
-    manifest_path = tmp_path / "ck" / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    assert manifest["format"] == 2
-    manifest["format"] = 1
-    manifest_path.write_text(json.dumps(manifest))
-    # a corrupted blob as well: the format is checked before any blob is hashed
-    blob = next((tmp_path / "ck" / "params").glob("*.tsr"))
-    blob.write_bytes(blob.read_bytes()[:-1])
-    with pytest.raises(CheckpointError, match="format 1, expected 2"):
+    assert json.loads((tmp_path / "ck" / "checkpoint.json").read_text())["format"] == 3
+    rewrite_meta(tmp_path / "ck", lambda m: m.update(format=2))
+    # a corrupted archive as well: the format is checked before anything is hashed
+    archive(tmp_path / "ck").write_bytes(archive(tmp_path / "ck").read_bytes()[:-1])
+    with pytest.raises(CheckpointError, match="format 2, expected 3"):
         load_checkpoint(tmp_path / "ck")
+    # format 2 kept its format in manifest.json next to one blob per tensor
+    old = tmp_path / "old"
+    (old / "params").mkdir(parents=True)
+    save_tsr(old / "params" / "msp.conv_in.b.tsr", np.zeros(4, dtype=np.float32))
+    (old / "manifest.json").write_text(json.dumps(
+        {"format": 2, "blobs": {"params/msp.conv_in.b.tsr": "0" * 64}}))
+    with pytest.raises(CheckpointError, match="format 2, expected 3"):
+        load_checkpoint(old)
 
 
 def test_checkpoint_missing_blob_rejected(tmp_path):
     model = SeparationModel(tiny_config())
     save_checkpoint(model, tmp_path / "ck")
-    next((tmp_path / "ck" / "params").glob("*.tsr")).unlink()
-    with pytest.raises(CheckpointError):
+    archive(tmp_path / "ck").unlink()
+    with pytest.raises(CheckpointError, match="missing archive"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_is_two_files(tmp_path):
+    trained_checkpoint(tmp_path / "ck")
+    assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["arrays.tsrs",
+                                                                    "checkpoint.json"]
+
+
+def test_checkpoint_truncated_or_overlong_archive_rejected(tmp_path):
+    trained_checkpoint(tmp_path / "ck")
+    raw = archive(tmp_path / "ck").read_bytes()
+    archive(tmp_path / "ck").write_bytes(raw[:-5])
+    with pytest.raises(CheckpointError, match=r"\(unet\.[^ ]+ v\): shape .* expects "
+                                              r"\d+ bytes, found \d+"):
+        load_checkpoint(tmp_path / "ck")
+    archive(tmp_path / "ck").write_bytes(raw + bytes(3))
+    with pytest.raises(CheckpointError, match="has 3 bytes after its"):
         load_checkpoint(tmp_path / "ck")
 
 
@@ -260,13 +309,6 @@ def trained_checkpoint(root, steps=2):
     return model, opt
 
 
-def rewrite_manifest(root, edit):
-    path = root / "manifest.json"
-    manifest = json.loads(path.read_text())
-    edit(manifest)
-    path.write_text(json.dumps(manifest))
-
-
 @pytest.mark.parametrize("prec", ["f32", "f64"])
 def test_checkpoint_roundtrip_with_adam_is_bit_equal(tmp_path, prec):
     with T.precision(prec):
@@ -279,6 +321,17 @@ def test_checkpoint_roundtrip_with_adam_is_bit_equal(tmp_path, prec):
                      (opt.v[a.name], opt2.v[b.name])):
             assert x.dtype == y.dtype == (np.float32 if prec == "f32" else np.float64)
             assert x.tobytes() == y.tobytes()
+
+
+def test_f64_checkpoint_loads_cast_to_f32(tmp_path):
+    with T.precision("f64"):
+        model, opt = trained_checkpoint(tmp_path / "ck")
+    loaded, opt2 = load_checkpoint(tmp_path / "ck")  # the ambient dtype is f32
+    for a, b in zip(model.parameters(), loaded.parameters()):
+        for x, y in ((a.data, b.data), (opt.m[a.name], opt2.m[b.name]),
+                     (opt.v[a.name], opt2.v[b.name])):
+            assert y.dtype == np.float32
+            assert np.array_equal(x.astype(np.float32), y)
 
 
 def test_loaded_arrays_are_aligned_writable_contiguous(tmp_path):
@@ -305,32 +358,82 @@ def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch):
         assert np.array_equal(a.data, b.data)
 
 
+def read_records(path):
+    with open(path, "rb") as fh:
+        records = []
+        while fh.tell() < path.stat().st_size:
+            records.append(T.read_tsr_record(fh))
+    return records
+
+
 def test_save_checkpoint_digests_are_file_sha256(tmp_path):
+    model, opt = trained_checkpoint(tmp_path / "ck")
+    meta = json.loads((tmp_path / "ck" / "checkpoint.json").read_text())
+    assert meta["sha256"] == hashlib.sha256(archive(tmp_path / "ck").read_bytes()).hexdigest()
+    params = model.parameters()
+    assert meta["names"] == [p.name for p in params]
+    want = ([p.data for p in params] + [opt.m[p.name] for p in params]
+            + [opt.v[p.name] for p in params])
+    records = read_records(archive(tmp_path / "ck"))
+    assert len(records) == len(want) == 3 * len(params)
+    for x, y in zip(want, records):
+        assert x.tobytes() == y.tobytes()
+
+
+def test_checkpoint_name_list_must_match_model(tmp_path):
     trained_checkpoint(tmp_path / "ck")
-    blobs = json.loads((tmp_path / "ck" / "manifest.json").read_text())["blobs"]
-    assert any(rel.startswith("opt/") for rel in blobs)
-    for rel, digest in blobs.items():
-        assert digest == hashlib.sha256((tmp_path / "ck" / rel).read_bytes()).hexdigest()
+    names = json.loads((tmp_path / "ck" / "checkpoint.json").read_text())["names"]
+    cases = [
+        (names[:2] + [names[3], names[2]] + names[4:], f"entry 2: checkpoint has '{names[3]}', "
+                                                       f"model has '{names[2]}'"),
+        (names[:-1], f"entry {len(names) - 1}: checkpoint has None, "
+                     f"model has '{names[-1]}'"),
+        (names + ["extra.w"], f"entry {len(names)}: checkpoint has 'extra.w', model has None"),
+    ]
+    for listed, message in cases:
+        rewrite_meta(tmp_path / "ck", lambda m: m.update(names=listed))
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(tmp_path / "ck")
 
 
-def test_checkpoint_unlisted_adam_state_rejected(tmp_path):
-    trained_checkpoint(tmp_path / "ck")
-    rel = "opt/msp.conv_in.b.m.tsr"
-    rewrite_manifest(tmp_path / "ck", lambda m: m["blobs"].pop(rel))
-    with pytest.raises(CheckpointError, match=rel):
-        load_checkpoint(tmp_path / "ck")
-
-
-@pytest.mark.parametrize("rel", ["params/msp.conv_in.b.tsr", "opt/msp.conv_in.b.m.tsr",
-                                 "opt/msp.conv_in.b.v.tsr"])
-def test_checkpoint_blob_with_wrong_shape_rejected(tmp_path, rel):
-    trained_checkpoint(tmp_path / "ck")
-    blob = tmp_path / "ck" / rel
-    assert load_tsr(blob).shape == (4,)
-    save_tsr(blob, np.zeros(3, dtype=np.float32))
-    digest = hashlib.sha256(blob.read_bytes()).hexdigest()
-    rewrite_manifest(tmp_path / "ck", lambda m: m["blobs"].__setitem__(rel, digest))
+@pytest.mark.parametrize("section", ["params", "m", "v"])
+def test_checkpoint_blob_with_wrong_shape_rejected(tmp_path, section):
+    model, _ = trained_checkpoint(tmp_path / "ck")
+    names = [p.name for p in model.parameters()]
+    records = read_records(archive(tmp_path / "ck"))
+    i = ["params", "m", "v"].index(section) * len(names) + names.index("msp.conv_in.b")
+    assert records[i].shape == (4,)
+    records[i] = np.zeros(3, dtype=np.float32)
+    hasher = hashlib.sha256()
+    with open(archive(tmp_path / "ck"), "wb") as fh:
+        for arr in records:
+            T.write_tsr_record(fh, arr, hasher)
+    rewrite_meta(tmp_path / "ck", lambda m: m.update(sha256=hasher.hexdigest()))
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(tmp_path / "ck")
     message = str(info.value)
     assert "msp.conv_in.b" in message and "(3,)" in message and "(4,)" in message
+    assert f"record {i} " in message
+
+
+@pytest.fixture(scope="module")
+def tiny_ck(tmp_path_factory):
+    """A tiny checkpoint with Adam state, and its archive's bytes."""
+    root = tmp_path_factory.mktemp("damaged") / "ck"
+    trained_checkpoint(root)
+    return root, archive(root).read_bytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_damaged_archive_always_rejected(tiny_ck, data):
+    root, raw = tiny_ck
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        damaged = bytearray(raw)
+        damaged[data.draw(st.integers(0, len(raw) - 1), label="offset")] ^= data.draw(
+            st.integers(1, 255), label="flip")
+    archive(root).write_bytes(bytes(damaged))
+    with np.errstate(all="ignore"), pytest.raises(CheckpointError):
+        load_checkpoint(root)

@@ -438,19 +438,45 @@ def test_tsr_reads_into_out_and_hashes_every_byte(tmp_path):
     path = tmp_path / "x.tsr"
     arr = make_rng(3).standard_normal((3, 4))
     written = hashlib.sha256()
-    save_tsr(path, arr, hasher=written)
+    with open(path, "wb") as fh:
+        T.write_tsr_record(fh, arr, written)
     assert written.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
     read = hashlib.sha256()
     out = np.empty((3, 4))
-    assert load_tsr(path, out=out, hasher=read) is out
+    with open(path, "rb") as fh:
+        assert T.read_tsr_record(fh, out=out, hasher=read) is out
     assert read.hexdigest() == written.hexdigest()
     assert np.array_equal(out, arr)
     # an `out` of another shape or dtype is left alone
     for other in (np.zeros((4, 3)), np.zeros((3, 4), dtype=np.float32)):
-        back = load_tsr(path, out=other)
+        with open(path, "rb") as fh:
+            back = T.read_tsr_record(fh, out=other)
         assert back is not other and not other.any()
         assert back.dtype == np.float64 and np.array_equal(back, arr)
         assert back.flags.aligned and back.flags.writeable and back.flags.c_contiguous
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(specs=st.lists(st.tuples(st.lists(st.integers(0, 4), max_size=3),
+                                st.sampled_from([np.float32, np.float64]),
+                                st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
+def test_tsr_records_back_to_back_read_back_bit_equal(tmp_path, specs):
+    arrays = []
+    for shape, dtype, seed in specs:
+        bits = np.random.default_rng(seed).integers(0, 256, size=math.prod(shape)
+                                                    * np.dtype(dtype).itemsize, dtype=np.uint8)
+        arrays.append(bits.view(dtype).reshape(shape))  # any bit pattern, NaNs included
+    path = tmp_path / "records.tsrs"
+    with open(path, "wb") as fh:
+        for arr in arrays:
+            T.write_tsr_record(fh, arr)
+    with open(path, "rb") as fh:
+        for arr in arrays:
+            back = T.read_tsr_record(fh)
+            assert back.shape == arr.shape and back.dtype == arr.dtype
+            assert back.tobytes() == arr.tobytes()
+        assert fh.read() == b""
 
 
 def test_tsr_size_must_match_header(tmp_path):

@@ -106,6 +106,13 @@ def test_mask_monotone_in_tau():
         prev = mask
 
 
+def test_texture_mask_rejects_tau_outside_byte_range():
+    lbp = lbp_map(make_rng(12).uniform(0, 1, size=(8, 8)))
+    for tau in (-1, 256, 999):
+        with pytest.raises(ValueError, match=f"tau {tau} outside"):
+            texture_mask(lbp, tau)
+
+
 def test_masked_texture():
     img = np.array([[2.0, 3.0]])
     assert np.array_equal(masked_texture(img, np.array([[1.0, 0.0]])), [[2.0, 0.0]])
