@@ -5,7 +5,7 @@ import contextlib
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +266,27 @@ def save_checkpoint(model: SeparationModel, path, optimizer: Adam | None = None,
     (root / META).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _read_meta(root: Path) -> dict:
+    """checkpoint.json, checked for its format and keys before anything is
+    built or read."""
+    for meta_path in (root / META, root / "manifest.json"):  # formats 1 and 2 used the latter
+        if meta_path.is_file():
+            break
+    else:
+        raise CheckpointError(f"{root} has neither {META} nor manifest.json")
+    meta = json.loads(meta_path.read_text())
+    found = meta.get("format")
+    if found != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"checkpoint format {found}, expected {CHECKPOINT_FORMAT}")
+    missing = [key for key in ("model", "names", "adam", "sha256") if key not in meta]
+    if missing:
+        raise CheckpointError(f"{meta_path.name} lacks {', '.join(missing)}")
+    unknown = sorted(set(meta["model"]) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise CheckpointError(f"{meta_path.name} has unknown model keys {', '.join(unknown)}")
+    return meta
+
+
 def load_checkpoint(path) -> tuple[SeparationModel, Adam | None]:
     """The model, and its Adam state if one was saved, from a checkpoint directory.
 
@@ -274,13 +295,7 @@ def load_checkpoint(path) -> tuple[SeparationModel, Adam | None]:
     fills, and its sha256 is taken over the bytes read.
     """
     root = Path(path)
-    meta_path = root / META
-    if not meta_path.is_file() and (root / "manifest.json").is_file():
-        meta_path = root / "manifest.json"  # where formats 1 and 2 kept theirs
-    meta = json.loads(meta_path.read_text())
-    found = meta.get("format")
-    if found != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"checkpoint format {found}, expected {CHECKPOINT_FORMAT}")
+    meta = _read_meta(root)
     model = SeparationModel(ModelConfig(**meta["model"]), filled=False)
     params = model.parameters()
     names = [p.name for p in params]

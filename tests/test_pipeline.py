@@ -279,6 +279,34 @@ def test_checkpoint_missing_blob_rejected(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
+@pytest.mark.parametrize("key", ["model", "names", "adam", "sha256"])
+def test_checkpoint_missing_meta_key_rejected(tmp_path, key):
+    save_checkpoint(SeparationModel(tiny_config()), tmp_path / "ck")
+    rewrite_meta(tmp_path / "ck", lambda m: m.pop(key))
+    with pytest.raises(CheckpointError, match=f"checkpoint.json lacks {key}$"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_unknown_model_key_rejected(tmp_path, monkeypatch):
+    save_checkpoint(SeparationModel(tiny_config()), tmp_path / "ck")
+    rewrite_meta(tmp_path / "ck", lambda m: m["model"].update(dropout=0.1))
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built before the keys were checked")
+    monkeypatch.setattr(pipeline, "SeparationModel", no_model)
+    with pytest.raises(CheckpointError, match="unknown model keys dropout"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_checkpoint_directory_without_metadata_rejected(tmp_path):
+    save_checkpoint(SeparationModel(tiny_config()), tmp_path / "ck")
+    (tmp_path / "ck" / "checkpoint.json").unlink()
+    with pytest.raises(CheckpointError, match="has neither checkpoint.json nor manifest.json"):
+        load_checkpoint(tmp_path / "ck")
+    with pytest.raises(CheckpointError, match="has neither"):
+        load_checkpoint(tmp_path / "absent")
+
+
 def test_checkpoint_is_two_files(tmp_path):
     trained_checkpoint(tmp_path / "ck")
     assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["arrays.tsrs",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from tracersep import tensor as T
 from tracersep.tensor import (Adam, Parameter, Tensor, grad_check, load_tsr,
@@ -65,6 +66,50 @@ def test_gelu_examples():
     assert abs(phi1 - 0.8413447460685429) < 1e-12
 
 
+SWEEP = np.linspace(-10.0, 10.0, 2_000_001).astype(np.float32)
+
+
+def f32_ulp(y):
+    # the f32 ulp of the binade of each f64 value, not of its rounded f32
+    _, e = np.frexp(np.abs(y))
+    return np.maximum(np.ldexp(1.0, e - 24), 2.0 ** -149)
+
+
+def test_f32_erf_within_two_ulp_of_scipy():
+    # the erf that f32 gelu's rational implies: erf(z) = 2 * (Phi(sqrt2 z) - 1/2)
+    x = np.clip(SWEEP.astype(np.float64) * math.sqrt(2.0), -T._PHI_CLAMP, T._PHI_CLAMP)
+    scratch = np.empty((3,) + x.shape)
+    got = (2.0 * T._phi_half(x, *scratch)).astype(np.float32)
+    want = erf(SWEEP.astype(np.float64))
+    assert np.max(np.abs(got - want) / f32_ulp(want)) <= 2.0
+    assert got[0] == -1.0 and got[-1] == 1.0 and got[len(got) // 2] == 0.0
+
+
+def test_f32_gelu_against_f64_gelu():
+    with precision("f32"):
+        got = T.gelu(Tensor(SWEEP)).data
+    assert got.dtype == np.float32
+    want = T.gelu(Tensor(SWEEP.astype(np.float64))).data
+    # half an f32 ulp of |gelu| < 8 (2.4e-7) plus |x| < 5.66, where phi is not
+    # 0 or 1 in f32, times phi's error (6e-8)
+    assert np.max(np.abs(got - want)) < 6e-7
+
+
+def test_f32_gelu_output_does_not_depend_on_grad_mode():
+    x = make_rng(2).standard_normal((40, 37, 30)).astype(np.float32)
+    with precision("f32"):
+        traced = T.gelu(Parameter(x, "x"))
+        with no_grad():
+            untraced = T.gelu(Parameter(x, "x"))
+    assert traced.data.tobytes() == untraced.data.tobytes()
+
+
+def test_f64_gelu_is_scipy_erf():
+    x = make_rng(4).standard_normal((6, 5, 4)) * 3.0
+    want = x * (0.5 * (1.0 + erf(x * math.sqrt(0.5))))
+    assert T.gelu(Tensor(x)).data.tobytes() == want.tobytes()
+
+
 def test_leaky_relu_examples():
     x = Tensor([2.0, -2.0, 0.0])
     out = T.leaky_relu(x, 0.1)
@@ -89,6 +134,18 @@ def test_layer_norm_against_two_pass_oracle():
     want = (x - mu) / np.sqrt(var + 1e-5)
     got = T.layer_norm(Tensor(x), axis=2).data
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+@pytest.mark.parametrize("shape", [(64, 64, 48), (8, 8, 384), (5, 3, 7)])
+def test_layer_norm_bit_equal_to_np_var_formula(prec, shape):
+    with precision(prec):
+        x = Tensor(make_rng(zlib.crc32(repr(shape).encode())).standard_normal(shape) * 3.0 + 1.0)
+        a = x.data
+        # the np.var formula, which centres the input a second time itself
+        inv = 1.0 / np.sqrt(a.var(axis=2, keepdims=True) + 1e-5)
+        want = (a - a.mean(axis=2, keepdims=True)) * inv
+        assert T.layer_norm(x, axis=2).data.tobytes() == want.tobytes()
 
 
 def test_pixel_unshuffle_definition():
@@ -204,6 +261,37 @@ def test_conv3x3_property_zero_padded(h, w, ci, co, seed):
                      + T.sum_(T.conv2d(x, kf, "full_3x3") * probe_f),
                      [x, kd, kf], max_elems=12, rng=make_rng(0))
     assert err < 1e-4
+
+
+def rows_per_block(monkeypatch, rows, w, c):
+    # shrink the piece size so a small f64 map splits into blocks of `rows` rows
+    monkeypatch.setattr(T, "_BLOCK_BYTES", rows * w * c * 8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(h=st.integers(1, 9), w=st.integers(1, 6), c=st.integers(1, 4),
+       rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_blocked_depthwise_forward_against_oracle(monkeypatch, h, w, c, rows, seed):
+    rows_per_block(monkeypatch, rows, w, c)
+    assert T._rows_per_block(w * c * 8) == rows
+    rng = make_rng(seed)
+    x = rng.standard_normal((h, w, c))
+    k = rng.standard_normal((3, 3, c))
+    got = T.conv2d(Tensor(x), Tensor(k), "depthwise_3x3").data
+    assert np.max(np.abs(got - _conv_oracle_depthwise(x, k))) < 1e-12
+
+
+@pytest.mark.parametrize("h, w, rows", [(1, 5, 1), (1, 5, 3), (6, 1, 4), (1, 1, 1),
+                                        (7, 4, 3), (7, 4, 2), (8, 3, 5)])
+def test_blocked_depthwise_forward_edge_shapes(monkeypatch, h, w, rows):
+    # h = 1, w = 1, and h not a multiple of the rows per block (a short last block)
+    rows_per_block(monkeypatch, rows, w, 3)
+    rng = make_rng(h * 100 + w * 10 + rows)
+    x = rng.standard_normal((h, w, 3))
+    k = rng.standard_normal((3, 3, 3))
+    got = T.conv2d(Tensor(x), Tensor(k), "depthwise_3x3").data
+    assert np.max(np.abs(got - _conv_oracle_depthwise(x, k))) < 1e-12
 
 
 def test_conv_shape_errors():
