@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import Parameter, Tensor
+from .tensor import Tensor
 
 
 @dataclass
@@ -78,7 +78,7 @@ class DenoiserConfig:
     steps: int = 4
 
 
-class Denoiser:
+class Denoiser(T.Module):
     """MLP over (flattened noisy latent, condition vector, one-hot timestep)."""
 
     def __init__(self, cfg: DenoiserConfig, rng: np.random.Generator, prefix: str):
@@ -96,9 +96,6 @@ class Denoiser:
         # short schedule the best noise estimate is close to the input itself,
         # which keeps early reverse rollouts bounded instead of amplifying
         self.skip = T.ones_param((out_dim,), f"{prefix}.skip")
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3, self.skip]
 
     def __call__(self, latent_t: Tensor, t: int, condition: Tensor) -> Tensor:
         cfg = self.cfg

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Parameter, Tensor
+from .tensor import Tensor
 
 UNSHUFFLE = 2  # pixel-unshuffle factor applied to the image pair before the trunk
 SLOPE = 0.1  # leaky-ReLU negative slope in the trunk
@@ -32,7 +32,7 @@ class LpebConfig:
             raise ValueError("need at least one head")
 
 
-class PriorEncoder:
+class PriorEncoder(T.Module):
     """Conv trunk + global average pool + one linear head per tracer."""
 
     def __init__(self, cfg: LpebConfig, rng: np.random.Generator, prefix: str):
@@ -57,14 +57,6 @@ class PriorEncoder:
                 T.normal_param(rng, (w, cfg.d), (1.0 / w) ** 0.5, f"{prefix}.head{i}.w"),
                 T.zeros_param((cfg.d,), f"{prefix}.head{i}.b"),
             ))
-
-    def parameters(self) -> list[Parameter]:
-        ps = [self.conv_in, self.conv_in_b]
-        for k1, b1, k2, b2 in self.res:
-            ps += [k1, b1, k2, b2]
-        for w, b in self.heads:
-            ps += [w, b]
-        return ps
 
     def trunk(self, a: np.ndarray, b: np.ndarray) -> Tensor:
         if a.shape != b.shape:
@@ -102,7 +94,7 @@ def extract_condition(dual: np.ndarray, masked_dual: np.ndarray,
     return encoder.head(encoder.trunk(dual, masked_dual), 0)
 
 
-class ModulationParams:
+class ModulationParams(T.Module):
     """One linear map turning the flattened prior into per-channel scale | shift.
 
     `w` is (in_dim, 2C) and `b` is (2C,) = [ones | zeros], so columns :C give
@@ -115,9 +107,6 @@ class ModulationParams:
         (self.w,) = T.fused_normal_params(rng, [((in_dim, channels), std, f"{prefix}.w")], 2)
         self.b = T.make_param((2 * channels,), f"{prefix}.b",
                               lambda: np.concatenate([np.ones(channels), np.zeros(channels)]))
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w, self.b]
 
 
 def modulate(m: Tensor, latent_flat: Tensor, params: ModulationParams) -> Tensor:

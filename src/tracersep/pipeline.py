@@ -15,7 +15,7 @@ from .diffusion import (Denoiser, DenoiserConfig, build_schedule, denoise_full,
                         forward_sample, loss_dm)
 from .evaluation import PhantomPair
 from .latent import LpebConfig, PriorEncoder, extract_condition, extract_msp
-from .tensor import Adam, Parameter, Tensor, make_rng, no_grad
+from .tensor import Adam, Tensor, make_rng, no_grad
 from .texture import TextureConfig, fuse, image_mask, masked_texture
 from .transformer import UNet, UNetConfig, unet_forward
 
@@ -62,7 +62,7 @@ class TrainConfig:
             raise ValueError(f"unknown precision {self.precision!r}")
 
 
-class SeparationModel:
+class SeparationModel(T.Module):
     """All parameter groups plus the schedule and texture configuration."""
 
     def __init__(self, cfg: ModelConfig, filled: bool = True):
@@ -98,14 +98,6 @@ class SeparationModel:
                         mod.w.data[:] = 0.0
         self.schedule = build_schedule(cfg.diffusion_steps, cfg.beta_start, cfg.beta_end)
         self.texture = cfg.texture()
-
-    def parameters(self) -> list[Parameter]:
-        return (self.msp_encoder.parameters() + self.cond_encoder.parameters()
-                + self.denoiser.parameters() + self.unet.parameters())
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
 
 
 def loss_tm(separated: list[Tensor], targets: list[np.ndarray],
@@ -145,8 +137,7 @@ def _item_losses(pair: PhantomPair, model: SeparationModel,
     t = int(rng.integers(1, sched.T + 1))
     eps = Tensor(rng.standard_normal((cfg.d, cfg.n_tracers)))
     noisy = forward_sample(latent, sched, t, eps)
-    eps_hat = model.denoiser(noisy, t, condition)
-    dm = T.mean(T.abs_(eps_hat - eps))
+    dm = loss_dm(model.denoiser(noisy, t, condition), eps)
 
     # full rollout from step T; its endpoint feeds the transformer
     eps_top = Tensor(rng.standard_normal((cfg.d, cfg.n_tracers)))

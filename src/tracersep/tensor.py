@@ -8,6 +8,7 @@ H x W x C, and 3x3 convolutions are zero padded, so they keep H x W.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import struct
@@ -46,10 +47,6 @@ def set_dtype(name: str) -> None:
     if name not in _DTYPES:
         raise ValueError(f"unknown dtype {name!r}, expected 'f32' or 'f64'")
     _state["dtype"] = _DTYPES[name]
-
-
-def default_dtype() -> np.dtype:
-    return _state["dtype"]
 
 
 @contextlib.contextmanager
@@ -114,12 +111,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar")
@@ -158,33 +149,57 @@ class Tensor:
         return f"Tensor(op={self.op}, shape={self.data.shape}, dtype={self.data.dtype})"
 
 
-class Parameter(Tensor):
-    """Trainable tensor with a unique dotted name path."""
+_serials = itertools.count()
 
-    __slots__ = ("name",)
+
+class Parameter(Tensor):
+    """Trainable tensor with a unique dotted name path.
+
+    `serial` numbers parameters in the order they are created, which is also
+    the order an init draws them in; `Module.parameters` sorts on it.
+    """
+
+    __slots__ = ("name", "serial")
 
     def __init__(self, data, name: str):
         # parameters stay trainable even if created under no_grad
         super().__init__(data)
         self.requires_grad = True
         self.name = name
+        self.serial = next(_serials)
 
     def __repr__(self):
         return f"Parameter({self.name}, shape={self.data.shape})"
 
 
+class Module:
+    """Base of every class that owns parameters."""
+
+    def parameters(self) -> list[Parameter]:
+        """Every Parameter reachable from this module, once, in creation order.
+
+        The walk follows attributes and the lists and tuples inside them, and
+        enters no object but a Module. Creation order is the init's draw
+        order and the checkpoint's record order.
+        """
+        found: dict[int, Parameter] = {}
+        entered: set[int] = set()
+        stack: list = [self]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, Parameter):
+                found[id(x)] = x
+            elif isinstance(x, (Module, list, tuple)) and id(x) not in entered:
+                entered.add(id(x))
+                stack.extend(vars(x).values() if isinstance(x, Module) else x)
+        return sorted(found.values(), key=lambda p: p.serial)
+
+
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    t = Tensor.__new__(Tensor)
     dtype = like.data.dtype if like is not None else _state["dtype"]
-    t.data = np.asarray(x, dtype=dtype)
-    t.grad = None
-    t.requires_grad = False
-    t.op = "const"
-    t._prev = ()
-    t._backward = None
-    return t
+    return _result(np.asarray(x, dtype=dtype), (), "const")
 
 
 def _result(data: np.ndarray, prev: Sequence[Tensor], op: str) -> Tensor:
@@ -222,12 +237,22 @@ def topological_order(root: Tensor) -> list[Tensor]:
     return topo
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _grad(t: Tensor) -> np.ndarray | None:
+    """t's gradient buffer, zeroed on first use; None when t needs no gradient.
+
+    Backward passes add into it, or into slices of it, in place.
+    """
     if not t.requires_grad:
-        return
+        return None
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    return t.grad
+
+
+def _accum(t: Tensor, g: np.ndarray) -> None:
+    buf = _grad(t)
+    if buf is not None:
+        buf += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -411,10 +436,7 @@ def split(a: Tensor, n: int) -> list[Tensor]:
         out = _result(a.data[..., cols], (a,), "split")
         if out.requires_grad:
             def backward(out=out, cols=cols):
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                part = a.grad[..., cols]
-                part += out.grad
+                _grad(a)[..., cols] += out.grad
             out._backward = backward
         parts.append(out)
     return parts
@@ -425,9 +447,7 @@ def channel(a: Tensor, k: int) -> Tensor:
     out = _result(np.ascontiguousarray(a.data[:, :, k]), (a,), "channel")
     if out.requires_grad:
         def backward():
-            g = np.zeros_like(a.data)
-            g[:, :, k] = out.grad
-            _accum(a, g)
+            _grad(a)[:, :, k] += out.grad
         out._backward = backward
     return out
 
@@ -670,14 +690,12 @@ def _conv_depthwise(x: Tensor, k: Tensor) -> Tensor:
     if out.requires_grad:
         def backward():
             g = out.grad
-            gk = np.empty_like(k.data)
-            gx = np.zeros_like(x.data) if x.requires_grad else None
+            gx, gk = _grad(x), _grad(k)
             for di, dj, o, i in _taps(h, w):
-                gk[di, dj] = (x.data[i] * g[o]).sum(axis=(0, 1))
+                if gk is not None:
+                    gk[di, dj] += (x.data[i] * g[o]).sum(axis=(0, 1))
                 if gx is not None:
                     gx[i] += k.data[di, dj] * g[o]
-            _accum(x, gx)  # a no-op, gx None, when x needs no gradient
-            _accum(k, gk)
         out._backward = backward
     return out
 
@@ -694,16 +712,14 @@ def _conv_full3x3(x: Tensor, k: Tensor) -> Tensor:
     out = _result(y, (x, k), "conv3x3")
     if out.requires_grad:
         def backward():
-            gk = np.empty_like(k.data)
-            gx = np.zeros_like(x.data) if x.requires_grad else None
+            gx, gk = _grad(x), _grad(k)
             for di, dj, o, i in _taps(h, w):
                 win = x.data[i]
                 g = out.grad[o].reshape(-1, co)
-                gk[di, dj] = win.reshape(-1, ci).T @ g
+                if gk is not None:
+                    gk[di, dj] += win.reshape(-1, ci).T @ g
                 if gx is not None:
                     gx[i] += (g @ k.data[di, dj].T).reshape(win.shape)
-            _accum(x, gx)  # a no-op, gx None, when x needs no gradient
-            _accum(k, gk)
         out._backward = backward
     return out
 

@@ -53,7 +53,7 @@ class UNetConfig:
         return self.d * self.n_tracers
 
 
-class AttentionParams:
+class AttentionParams(T.Module):
     """Fused q|k|v projection (1x1 then depthwise 3x3 over 3C), output 1x1, gamma."""
 
     def __init__(self, channels: int, heads: int, rng: np.random.Generator,
@@ -66,11 +66,8 @@ class AttentionParams:
         self.out_pw = T.normal_param(rng, (channels, channels), std, f"{prefix}.out_pw")
         self.gamma = T.ones_param((heads, 1, 1), f"{prefix}.gamma")
 
-    def parameters(self) -> list[Parameter]:
-        return [self.qkv_pw, self.qkv_dw, self.out_pw, self.gamma]
 
-
-class FeedForwardParams:
+class FeedForwardParams(T.Module):
     """Fused gate|value project_in (1x1 then depthwise 3x3 over 2h), output 1x1."""
 
     def __init__(self, channels: int, expansion: float, rng: np.random.Generator,
@@ -84,21 +81,14 @@ class FeedForwardParams:
         self.out_pw = T.normal_param(rng, (hidden, channels), (1.0 / hidden) ** 0.5,
                                      f"{prefix}.out_pw")
 
-    def parameters(self) -> list[Parameter]:
-        return [self.in_pw, self.in_dw, self.out_pw]
 
-
-class BlockParams:
+class BlockParams(T.Module):
     def __init__(self, channels: int, heads: int, latent_dim: int, expansion: float,
                  rng: np.random.Generator, prefix: str):
         self.mod1 = ModulationParams(latent_dim, channels, rng, f"{prefix}.mod1")
         self.attn = AttentionParams(channels, heads, rng, f"{prefix}.attn")
         self.mod2 = ModulationParams(latent_dim, channels, rng, f"{prefix}.mod2")
         self.ffn = FeedForwardParams(channels, expansion, rng, f"{prefix}.ffn")
-
-    def parameters(self) -> list[Parameter]:
-        return (self.mod1.parameters() + self.attn.parameters()
-                + self.mod2.parameters() + self.ffn.parameters())
 
 
 def _heads_view(x: Tensor, heads: int) -> Tensor:
@@ -159,7 +149,7 @@ def transformer_block(m: Tensor, latent_flat: Tensor, params: BlockParams) -> Te
     return m
 
 
-class UNet:
+class UNet(T.Module):
     """Encoder-decoder over transformer blocks with pixel (un)shuffle resampling."""
 
     def __init__(self, cfg: UNetConfig, rng: np.random.Generator, prefix: str = "unet"):
@@ -200,19 +190,6 @@ class UNet:
         self.conv_out = T.normal_param(rng, (3, 3, ch[0], cfg.n_tracers), 1e-3,
                                        f"{prefix}.conv_out.k")
         self.conv_out_b = T.zeros_param((cfg.n_tracers,), f"{prefix}.conv_out.b")
-
-    def parameters(self) -> list[Parameter]:
-        ps = [self.conv_in, self.conv_in_b]
-        for blocks in self.enc_blocks:
-            for b in blocks:
-                ps += b.parameters()
-        ps += self.down
-        for lvl in range(self.cfg.levels - 1):
-            ps += [self.up[lvl], self.skip_fuse[lvl]]
-            for b in self.dec_blocks[lvl]:
-                ps += b.parameters()
-        ps += [self.conv_out, self.conv_out_b]
-        return ps
 
     def forward(self, dual: np.ndarray, masked_dual: np.ndarray,
                 latent_flat: Tensor) -> Tensor:

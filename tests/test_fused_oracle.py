@@ -38,7 +38,7 @@ LAYOUT = {
 
 # -- per-branch reference: init -------------------------------------------
 
-class PerBranchAttentionParams:
+class PerBranchAttentionParams(T.Module):
     def __init__(self, channels, heads, rng, prefix):
         self.heads = heads
         std = (1.0 / channels) ** 0.5
@@ -51,12 +51,8 @@ class PerBranchAttentionParams:
         self.out_pw = T.normal_param(rng, (channels, channels), std, f"{prefix}.out_pw")
         self.gamma = Parameter(np.ones((heads, 1, 1)), f"{prefix}.gamma")
 
-    def parameters(self):
-        return [self.q_pw, self.q_dw, self.k_pw, self.k_dw, self.v_pw, self.v_dw,
-                self.out_pw, self.gamma]
 
-
-class PerBranchFeedForwardParams:
+class PerBranchFeedForwardParams(T.Module):
     def __init__(self, channels, expansion, rng, prefix):
         hidden = max(1, round(expansion * channels))
         self.hidden = hidden
@@ -68,20 +64,14 @@ class PerBranchFeedForwardParams:
         self.out_pw = T.normal_param(rng, (hidden, channels), (1.0 / hidden) ** 0.5,
                                      f"{prefix}.out_pw")
 
-    def parameters(self):
-        return [self.gate_pw, self.gate_dw, self.val_pw, self.val_dw, self.out_pw]
 
-
-class PerBranchModulationParams:
+class PerBranchModulationParams(T.Module):
     def __init__(self, in_dim, channels, rng, prefix):
         std = 1e-2 / in_dim ** 0.5
         self.scale_w = T.normal_param(rng, (in_dim, channels), std, f"{prefix}.scale.w")
         self.scale_b = Parameter(np.ones(channels), f"{prefix}.scale.b")
         self.shift_w = T.normal_param(rng, (in_dim, channels), std, f"{prefix}.shift.w")
         self.shift_b = T.zeros_param((channels,), f"{prefix}.shift.b")
-
-    def parameters(self):
-        return [self.scale_w, self.scale_b, self.shift_w, self.shift_b]
 
 
 # -- per-branch reference: forward ----------------------------------------

@@ -465,3 +465,34 @@ def test_damaged_archive_always_rejected(tiny_ck, data):
     archive(root).write_bytes(bytes(damaged))
     with np.errstate(all="ignore"), pytest.raises(CheckpointError):
         load_checkpoint(root)
+
+
+# the acceptance gate's toy configuration (tests/test_acceptance.py)
+TOY_MODEL = dict(d=32, n_tracers=2, lpeb_width=32, denoiser_hidden=256,
+                 diffusion_steps=4, unet_levels=2, unet_heads=[1, 2],
+                 unet_channels=[8, 16], unet_blocks=[1, 1],
+                 gdfn_expansion=4.0, init_seed=2)
+
+
+@pytest.mark.parametrize("filled", [True, False])
+@pytest.mark.parametrize("config,count,digest", [
+    (TOY_MODEL, 73, "ca2ceb53aba2a50f"),
+    ({}, 420, "9ddeea426daeecfd"),
+])
+def test_parameters_are_construction_order_with_format_3_names(monkeypatch, filled,
+                                                                config, count, digest):
+    made = []
+    init = Parameter.__init__
+
+    def recording_init(self, data, name):
+        init(self, data, name)
+        made.append(self)
+
+    monkeypatch.setattr(Parameter, "__init__", recording_init)
+    params = SeparationModel(ModelConfig(**config), filled=filled).parameters()
+    assert len(params) == len({id(p) for p in params}) == len(made) == count
+    assert all(p is q for p, q in zip(params, made))
+    # sha256 of the names as the format-3 checkpoints of earlier versions
+    # list them; a different list would no longer load those checkpoints
+    names = "\n".join(p.name for p in params)
+    assert hashlib.sha256(names.encode()).hexdigest().startswith(digest)

@@ -2,6 +2,7 @@
 import hashlib
 import math
 import zlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -462,6 +463,30 @@ def test_shared_subexpression_accumulates():
     assert abs(x.grad[0] - 6.0) < 1e-12
 
 
+def test_shared_input_gradient_is_the_sum_of_its_single_use_gradients():
+    # each backward adds into x's one buffer, whole or a slice at a time
+    rng = make_rng(41)
+    x = Parameter(rng.standard_normal((5, 4, 6)), "x")
+    kd = Parameter(rng.standard_normal((3, 3, 6)), "kd")
+    kf = Parameter(rng.standard_normal((3, 3, 6, 2)), "kf")
+    uses = [lambda: T.conv2d(x, kd, "depthwise_3x3"), lambda: T.conv2d(x, kf, "full_3x3"),
+            lambda: T.split(x, 2)[1], lambda: T.channel(x, 4)]
+    probes = [Tensor(rng.standard_normal(s)) for s in ((5, 4, 6), (5, 4, 2), (5, 4, 3), (5, 4))]
+
+    def grad_of(*chosen):
+        x.grad = None
+        total = T.sum_(uses[chosen[0]]() * probes[chosen[0]])
+        for i in chosen[1:]:
+            total = total + T.sum_(uses[i]() * probes[i])
+        total.backward()
+        return x.grad.copy()
+
+    singles = [grad_of(i) for i in range(len(uses))]
+    # both orders, so that each backward once finds the buffer already written
+    for order in (range(len(uses)), reversed(range(len(uses)))):
+        assert np.max(np.abs(grad_of(*order) - sum(singles))) < 1e-12
+
+
 def test_adam_first_step_magnitude():
     p = Parameter(np.array([1.0, -2.0]), "p")
     opt = Adam([p], lr=2e-4)
@@ -600,3 +625,29 @@ def test_determinism_bit_identical():
         k = Tensor(rng.standard_normal((3, 3, 2)))
         return T.conv2d(x, k, "depthwise_3x3").data.tobytes()
     assert run() == run()
+
+
+@dataclass
+class _Config:
+    width: int
+    held: object
+
+
+class _Holder(T.Module):
+    def __init__(self, *items):
+        self.items = items
+
+
+def test_module_parameters_each_once_in_creation_order():
+    p = [Parameter(np.zeros(2), f"p{i}") for i in range(6)]
+    stray = Parameter(np.zeros(2), "stray")
+    root = T.Module()
+    root.cfg = _Config(3, stray)  # the walk enters no object but a Module
+    root.plain = Tensor(np.ones(2))
+    root.last = p[5]
+    root.nested = [[_Holder(p[4], p[1])], (_Holder(p[3], (p[0],)), [p[2]])]
+    root.again = p[4]
+    root.cycle = root
+    found = root.parameters()
+    assert [q.name for q in found] == [f"p{i}" for i in range(6)]
+    assert all(q is want for q, want in zip(found, p))
