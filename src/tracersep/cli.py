@@ -101,16 +101,13 @@ def _load_train_config(args) -> tuple[ModelConfig, TrainConfig]:
     file_cfg = {}
     if args.config:
         file_cfg = json.loads(Path(args.config).read_text())
-    model_cfg = ModelConfig(**file_cfg.get("model", {}))
-    train_cfg = TrainConfig(**file_cfg.get("train", {}))
-    # explicit CLI flags win over the file
-    for name in ("steps", "lr", "batch", "seed", "precision"):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(train_cfg, name, val)
-    if args.tau is not None:
-        model_cfg.tau = args.tau
-    return model_cfg, train_cfg
+    # explicit CLI flags win over the file; each config checks the merged values
+    def merged(section: str, names: tuple) -> dict:
+        flags = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+        return {**file_cfg.get(section, {}), **flags}
+
+    return (ModelConfig(**merged("model", ("tau",))),
+            TrainConfig(**merged("train", ("steps", "lr", "batch", "seed", "precision"))))
 
 
 def cmd_train(args, argv) -> int:

@@ -2,7 +2,8 @@
 iteration, the conditional denoiser, and the latent reconstruction loss."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,25 +41,38 @@ def build_schedule(steps: int = 4, beta_start: float = 0.1,
     return DiffusionSchedule(steps, beta, alpha, np.cumprod(alpha))
 
 
-def _check_step(sched: DiffusionSchedule, t: int) -> None:
-    if not 1 <= t <= sched.T:
-        raise ValueError(f"step {t} outside [1, {sched.T}]")
+def _check_step(t, steps: int) -> np.ndarray:
+    """t, an int or an array of ints, as an array; every entry must lie in
+    [1, steps]."""
+    arr = np.asarray(t)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"steps must be integers, got {t!r}")
+    bad = arr[(arr < 1) | (arr > steps)]
+    if bad.size:
+        raise ValueError(f"step {int(bad[0])} outside [1, {steps}]")
+    return arr
 
 
-def forward_sample(latent: Tensor, sched: DiffusionSchedule, t: int,
+def forward_sample(latent: Tensor, sched: DiffusionSchedule, t,
                    eps: Tensor) -> Tensor:
-    """sqrt(alpha_bar_t) * L + sqrt(1 - alpha_bar_t) * eps."""
-    _check_step(sched, t)
+    """sqrt(alpha_bar_t) * L + sqrt(1 - alpha_bar_t) * eps.
+
+    t is one step for the whole latent, or an array of steps, one per item of
+    the latent's leading axes: latents (N, d, n) take t of shape (N,).
+    """
+    t = _check_step(t, sched.T)
     if eps.data.shape != latent.data.shape:
         raise ValueError(f"noise shape {eps.data.shape} vs latent {latent.data.shape}")
-    ab = sched.alpha_bar_at(t)
-    return latent * float(np.sqrt(ab)) + eps * float(np.sqrt(1.0 - ab))
+    if latent.data.shape[:t.ndim] != t.shape:
+        raise ValueError(f"steps of shape {t.shape} vs latent {latent.data.shape}")
+    ab = sched.alpha_bar[t - 1].reshape(t.shape + (1,) * (latent.data.ndim - t.ndim))
+    return latent * np.sqrt(ab) + eps * np.sqrt(1.0 - ab)
 
 
 def reverse_step(latent_t: Tensor, eps_hat: Tensor, t: int,
                  sched: DiffusionSchedule) -> Tensor:
-    """Deterministic reverse update (no variance term)."""
-    _check_step(sched, t)
+    """Deterministic reverse update (no variance term) at one step t."""
+    _check_step(t, sched.T)
     ab = sched.alpha_bar_at(t)
     a = sched.alpha_at(t)
     if ab >= 1.0:
@@ -97,22 +111,29 @@ class Denoiser(T.Module):
         # which keeps early reverse rollouts bounded instead of amplifying
         self.skip = T.ones_param((out_dim,), f"{prefix}.skip")
 
-    def __call__(self, latent_t: Tensor, t: int, condition: Tensor) -> Tensor:
+    def __call__(self, latent_t: Tensor, t, condition: Tensor) -> Tensor:
+        """Noise estimate (..., d, n) for latents (..., d, n) and conditions
+        (..., d); t is one step for all items or an array of steps, one per
+        item of the leading axes."""
         cfg = self.cfg
-        if condition.data.shape != (cfg.d,):
-            raise ValueError(f"condition shape {condition.data.shape}, expected ({cfg.d},)")
-        onehot = np.zeros((1, cfg.steps))
-        onehot[0, t - 1] = 1.0
-        x = T.concat([
-            T.reshape(latent_t, (1, -1)),
-            T.reshape(condition, (1, -1)),
-            Tensor(onehot),
-        ], axis=1)
-        flat_in = T.reshape(latent_t, (1, -1))
+        lead = condition.data.shape[:-1]
+        if condition.data.shape[-1:] != (cfg.d,) or latent_t.data.shape != lead + (
+                cfg.d, cfg.n_tracers):
+            raise ValueError(f"condition {condition.data.shape} and latent "
+                             f"{latent_t.data.shape}, expected (..., {cfg.d}) and "
+                             f"(..., {cfg.d}, {cfg.n_tracers})")
+        t = _check_step(t, cfg.steps)
+        if t.shape not in ((), lead):
+            raise ValueError(f"steps of shape {t.shape} for items of shape {lead}")
+        rows = math.prod(lead)
+        onehot = np.zeros((rows, cfg.steps))
+        onehot[np.arange(rows), np.broadcast_to(t, lead).reshape(-1) - 1] = 1.0
+        flat_in = T.reshape(latent_t, (rows, -1))
+        x = T.concat([flat_in, T.reshape(condition, (rows, -1)), Tensor(onehot)], axis=1)
         x = T.gelu(T.linear(x, self.w1, self.b1))
         x = T.gelu(T.linear(x, self.w2, self.b2))
         x = T.linear(x, self.w3, self.b3) + flat_in * self.skip
-        return T.reshape(x, (cfg.d, cfg.n_tracers))
+        return T.reshape(x, latent_t.data.shape)
 
 
 def denoise_full(start: Tensor, condition: Tensor, denoiser: Denoiser,

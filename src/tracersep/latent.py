@@ -1,9 +1,10 @@
 """Compact latent priors: per-tracer extraction and feature modulation.
 
-The encoder compresses an image pair into one d-vector per tracer (a d x N
-matrix overall). The same trunk architecture, with separate weights and a
-single head, produces the inference-time condition vector from the dual
-image and its masked texture.
+The encoder compresses an image pair into one d-vector per tracer (a d x n
+matrix for n tracers). The same trunk architecture, with separate weights and
+a single head, produces the inference-time condition vector from the dual
+image and its masked texture. Images may carry leading batch axes, (..., H,
+W); every output then carries the same leading axes.
 """
 from __future__ import annotations
 
@@ -59,6 +60,8 @@ class PriorEncoder(T.Module):
             ))
 
     def trunk(self, a: np.ndarray, b: np.ndarray) -> Tensor:
+        """Pooled trunk features (..., width) of the image pairs (a, b), each
+        (..., H, W); every pair is pooled on its own."""
         if a.shape != b.shape:
             raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
         x = Tensor(np.stack([a, b], axis=-1))
@@ -68,29 +71,39 @@ class PriorEncoder(T.Module):
             h = T.leaky_relu(T.conv2d(x, k1, "full_3x3", b1), SLOPE)
             h = T.conv2d(h, k2, "full_3x3", b2)
             x = T.leaky_relu(x + h, SLOPE)
-        return T.mean(x, axis=(0, 1))  # (width,)
+        return T.mean(x, axis=(-3, -2))
 
     def head(self, pooled: Tensor, i: int) -> Tensor:
+        """Head i of pooled features (..., width): (..., d)."""
         w, b = self.heads[i]
-        out = T.linear(T.reshape(pooled, (1, -1)), w, b)
-        return T.reshape(out, (-1,))  # (d,)
+        out = T.linear(T.reshape(pooled, (-1, pooled.data.shape[-1])), w, b)
+        return T.reshape(out, pooled.data.shape[:-1] + (-1,))
 
 
 def extract_msp(dual: np.ndarray, singles: list[np.ndarray],
                 encoder: PriorEncoder) -> Tensor:
-    """d x N prior; column i comes from the (dual, single_i) pair via head i."""
-    if len(singles) != encoder.cfg.n_heads:
-        raise ValueError(f"{len(singles)} tracers vs {encoder.cfg.n_heads} heads")
-    cols = []
-    for i, single in enumerate(singles):
-        pooled = encoder.trunk(dual, single)
-        cols.append(T.reshape(encoder.head(pooled, i), (-1, 1)))
-    return T.concat(cols, axis=1)
+    """(..., d, n) prior for n tracers; column i comes from the (dual, single_i)
+    pair via head i.
+
+    dual and each single are (..., H, W). All pairs go through one trunk call.
+    """
+    n = encoder.cfg.n_heads
+    if len(singles) != n:
+        raise ValueError(f"{len(singles)} tracers vs {n} heads")
+    for single in singles:
+        if single.shape != dual.shape:
+            raise ValueError(f"shape mismatch {dual.shape} vs {single.shape}")
+    singles = np.stack(singles, axis=-3)  # (..., n, H, W)
+    pooled = encoder.trunk(np.broadcast_to(dual[..., None, :, :], singles.shape), singles)
+    lead = pooled.data.shape[:-2]
+    per_tracer = T.split(T.reshape(pooled, lead + (-1,)), n)  # (..., width) each
+    cols = [T.reshape(encoder.head(p, i), lead + (-1, 1)) for i, p in enumerate(per_tracer)]
+    return T.concat(cols, axis=-1)
 
 
 def extract_condition(dual: np.ndarray, masked_dual: np.ndarray,
                       encoder: PriorEncoder) -> Tensor:
-    """Condition d-vector from (dual, dual * texture mask); single head."""
+    """Condition (..., d) from (dual, dual * texture mask); single head."""
     return encoder.head(encoder.trunk(dual, masked_dual), 0)
 
 
@@ -110,12 +123,16 @@ class ModulationParams(T.Module):
 
 
 def modulate(m: Tensor, latent_flat: Tensor, params: ModulationParams) -> Tensor:
-    """scale(L) * LayerNorm(M) + shift(L), broadcast over spatial positions."""
-    c = m.data.shape[2]
+    """scale(L) * LayerNorm(M) + shift(L), broadcast over spatial positions.
+
+    m is (..., H, W, C) and latent_flat (..., L), with the same leading axes.
+    """
+    c = m.data.shape[-1]
     if params.w.data.shape[1] != 2 * c:
         raise ValueError(f"modulation for {params.w.data.shape[1] // 2} channels "
                          f"applied to {c}-channel features")
-    lrow = T.reshape(latent_flat, (1, -1))
-    affine = T.reshape(T.linear(lrow, params.w, params.b), (1, 1, 2 * c))
+    lead = latent_flat.data.shape[:-1]
+    rows = T.reshape(latent_flat, (-1, latent_flat.data.shape[-1]))
+    affine = T.reshape(T.linear(rows, params.w, params.b), lead + (1, 1, 2 * c))
     scale, shift = T.split(affine, 2)
-    return scale * T.layer_norm(m, axis=2) + shift
+    return scale * T.layer_norm(m, axis=-1) + shift

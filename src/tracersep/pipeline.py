@@ -56,8 +56,9 @@ class TrainConfig:
     teacher_forcing_frac: float = 0.0
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch < 1:
-            raise ValueError("steps and batch must be >= 1")
+        for name in ("steps", "batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"unknown precision {self.precision!r}")
 
@@ -100,16 +101,26 @@ class SeparationModel(T.Module):
         self.texture = cfg.texture()
 
 
+def _image_masks(images: np.ndarray, tau: int) -> np.ndarray:
+    """The texture mask of each (H, W) image of images (..., H, W)."""
+    flat = images.reshape((-1,) + images.shape[-2:])
+    return np.stack([image_mask(im, tau) for im in flat]).reshape(images.shape)
+
+
 def loss_tm(separated: list[Tensor], targets: list[np.ndarray],
             texture_cfg: TextureConfig) -> Tensor:
-    """Per-tracer L1 on images plus L1 on ground-truth-masked textures."""
+    """Per-tracer L1 on images plus L1 on ground-truth-masked textures.
+
+    Predictions and targets are (..., H, W); each mean runs over all their
+    elements, so a batch gives the mean of its items' losses.
+    """
     if len(separated) != len(targets):
         raise ValueError(f"{len(separated)} predictions vs {len(targets)} targets")
     total = None
     for pred, truth in zip(separated, targets):
         if pred.data.shape != truth.shape:
             raise ValueError(f"shape mismatch {pred.data.shape} vs {truth.shape}")
-        mask = image_mask(truth, texture_cfg.tau)
+        mask = _image_masks(truth, texture_cfg.tau)
         term = T.mean(T.abs_(pred - Tensor(truth)))
         term = term + T.mean(T.abs_(pred * Tensor(mask) - Tensor(truth * mask)))
         total = term if total is None else total + term
@@ -124,24 +135,34 @@ def _first_nonfinite(root: Tensor) -> str:
     return root.op
 
 
-def _item_losses(pair: PhantomPair, model: SeparationModel,
-                 rng: np.random.Generator, teacher_forcing: bool):
+def _batch_losses(batch: list[PhantomPair], model: SeparationModel,
+                  rng: np.random.Generator, teacher_forcing: bool):
+    """(loss_dm, loss_tm), each the mean over the batch of the items' terms,
+    from one graph over the whole batch.
+
+    The draws stay per item: t, eps and eps_top of the first item, then of
+    the second, and so on.
+    """
     cfg = model.cfg
     sched = model.schedule
-    dual = pair.dual
-    latent = extract_msp(dual, pair.singles, model.msp_encoder)
-    u_dual = masked_texture(dual, image_mask(dual, model.texture.tau))
+    dual = np.stack([pair.dual for pair in batch])
+    singles = [np.stack(images) for images in zip(*(pair.singles for pair in batch))]
+    latent = extract_msp(dual, singles, model.msp_encoder)
+    u_dual = masked_texture(dual, _image_masks(dual, model.texture.tau))
     condition = extract_condition(dual, u_dual, model.cond_encoder)
 
-    # noise-prediction term at a uniformly sampled step
-    t = int(rng.integers(1, sched.T + 1))
-    eps = Tensor(rng.standard_normal((cfg.d, cfg.n_tracers)))
+    draws = [(int(rng.integers(1, sched.T + 1)),
+              rng.standard_normal((cfg.d, cfg.n_tracers)),
+              rng.standard_normal((cfg.d, cfg.n_tracers))) for _ in batch]
+    t, eps, eps_top = (np.stack(column) for column in zip(*draws))
+
+    # noise-prediction term at a uniformly sampled step per item
+    eps = Tensor(eps)
     noisy = forward_sample(latent, sched, t, eps)
     dm = loss_dm(model.denoiser(noisy, t, condition), eps)
 
     # full rollout from step T; its endpoint feeds the transformer
-    eps_top = Tensor(rng.standard_normal((cfg.d, cfg.n_tracers)))
-    rolled = denoise_full(forward_sample(latent, sched, sched.T, eps_top),
+    rolled = denoise_full(forward_sample(latent, sched, sched.T, Tensor(eps_top)),
                           condition, model.denoiser, sched)
     # the rollout chases the prior, not the other way around, so the target
     # is detached from the encoder graph
@@ -149,25 +170,26 @@ def _item_losses(pair: PhantomPair, model: SeparationModel,
 
     latent_for_unet = latent if teacher_forcing else rolled
     preds = unet_forward(dual, u_dual, latent_for_unet, model.unet)
-    tm = loss_tm(preds, pair.singles, model.texture)
+    tm = loss_tm(preds, singles, model.texture)
     return dm, tm
+
+
+def _item_losses(pair: PhantomPair, model: SeparationModel,
+                 rng: np.random.Generator, teacher_forcing: bool):
+    """(loss_dm, loss_tm) of one pair: the batch of one."""
+    return _batch_losses([pair], model, rng, teacher_forcing)
 
 
 def train_step(batch: list[PhantomPair], model: SeparationModel, optimizer: Adam,
                cfg: TrainConfig, rng: np.random.Generator, step: int,
                total_steps: int) -> tuple[float, float, float]:
-    """One joint update; returns (loss_total, loss_dm, loss_tm)."""
+    """One joint update over one graph for the whole batch; returns
+    (loss_total, loss_dm, loss_tm), each the mean over the batch."""
+    if not batch:
+        raise ValueError("train_step needs a non-empty batch")
     teacher = step < cfg.teacher_forcing_frac * total_steps
-    dm_sum = None
-    tm_sum = None
-    for pair in batch:
-        dm, tm = _item_losses(pair, model, rng, teacher)
-        dm_sum = dm if dm_sum is None else dm_sum + dm
-        tm_sum = tm if tm_sum is None else tm_sum + tm
-    inv = 1.0 / len(batch)
-    dm_sum = dm_sum * inv
-    tm_sum = tm_sum * inv
-    total = dm_sum + tm_sum
+    dm, tm = _batch_losses(batch, model, rng, teacher)
+    total = dm + tm
     if not np.isfinite(total.data):
         raise FloatingPointError(
             f"non-finite loss at step {step}; first non-finite tensor: "
@@ -175,8 +197,8 @@ def train_step(batch: list[PhantomPair], model: SeparationModel, optimizer: Adam
     optimizer.zero_grad()
     total.backward()
     optimizer.step()
-    dm_val = float(dm_sum.data)
-    tm_val = float(tm_sum.data)
+    dm_val = float(dm.data)
+    tm_val = float(tm.data)
     return dm_val + tm_val, dm_val, tm_val
 
 

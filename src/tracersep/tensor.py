@@ -3,7 +3,10 @@
 Everything else in the package computes on these. Arrays are flat row-major
 float32 (runtime default) or float64 (test/oracle mode); the precision is a
 run-level switch and is never mixed inside one graph. Feature maps are
-H x W x C, and 3x3 convolutions are zero padded, so they keep H x W.
+(..., H, W, C): the map ops (convolutions, pixel (un)shuffle, `channel`)
+work on the trailing three axes and treat any leading axes as a batch, so
+one graph carries a whole training batch. 3x3 convolutions are zero padded,
+so they keep H x W.
 """
 from __future__ import annotations
 
@@ -112,12 +115,23 @@ class Tensor:
         return self.data.shape
 
     def backward(self) -> None:
+        """Accumulate d(self)/d(x) into the grad of every x that needs one.
+
+        The graph is used up: once a node has passed its gradient on, it drops
+        its backward closure (which refers back to the node) and its inputs.
+        A graph is then freed as soon as it is unreferenced, not at the next
+        cyclic garbage collection, and a second backward through it passes
+        nothing on.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar")
         self.grad = np.ones_like(self.data)
-        for node in reversed(topological_order(self)):
+        order = topological_order(self)
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward()
+            node._backward, node._prev = None, ()
 
     # arithmetic sugar
     def __add__(self, other):
@@ -240,12 +254,14 @@ def topological_order(root: Tensor) -> list[Tensor]:
 def _grad(t: Tensor) -> np.ndarray | None:
     """t's gradient buffer, zeroed on first use; None when t needs no gradient.
 
-    Backward passes add into it, or into slices of it, in place.
+    Backward passes add into it, or into slices or reshaped views of it, in
+    place; it is C-contiguous whatever the layout of t.data, so a reshape of
+    it is always a view.
     """
     if not t.requires_grad:
         return None
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
+        t.grad = np.zeros(t.data.shape, t.data.dtype)
     return t.grad
 
 
@@ -443,11 +459,11 @@ def split(a: Tensor, n: int) -> list[Tensor]:
 
 
 def channel(a: Tensor, k: int) -> Tensor:
-    """Select channel k of an H x W x C feature map."""
-    out = _result(np.ascontiguousarray(a.data[:, :, k]), (a,), "channel")
+    """Select channel k of a (..., H, W, C) feature map."""
+    out = _result(np.ascontiguousarray(a.data[..., k]), (a,), "channel")
     if out.requires_grad:
         def backward():
-            _grad(a)[:, :, k] += out.grad
+            _grad(a)[..., k] += out.grad
         out._backward = backward
     return out
 
@@ -569,23 +585,23 @@ def layer_norm(a: Tensor, axis: int, epsilon: float = 1e-5) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# pixel shuffle / unshuffle (H x W x C layout)
+# pixel shuffle / unshuffle ((..., H, W, C) layout)
 # ---------------------------------------------------------------------------
 
 def _unshuffle_arr(x: np.ndarray, r: int) -> np.ndarray:
-    h, w, c = x.shape
-    y = x.reshape(h // r, r, w // r, r, c).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(y.reshape(h // r, w // r, r * r * c))
+    *lead, h, w, c = x.shape
+    y = x.reshape(-1, h // r, r, w // r, r, c).transpose(0, 1, 3, 2, 4, 5)
+    return np.ascontiguousarray(y).reshape(*lead, h // r, w // r, r * r * c)
 
 
 def _shuffle_arr(x: np.ndarray, r: int) -> np.ndarray:
-    h, w, c = x.shape
-    y = x.reshape(h, w, r, r, c // (r * r)).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(y.reshape(h * r, w * r, c // (r * r)))
+    *lead, h, w, c = x.shape
+    y = x.reshape(-1, h, w, r, r, c // (r * r)).transpose(0, 1, 3, 2, 4, 5)
+    return np.ascontiguousarray(y).reshape(*lead, h * r, w * r, c // (r * r))
 
 
 def pixel_unshuffle(a: Tensor, r: int) -> Tensor:
-    h, w, _ = a.data.shape
+    h, w, _ = a.data.shape[-3:]
     if h % r or w % r:
         raise ValueError(f"spatial extents {h}x{w} not divisible by factor {r}")
     out = _result(_unshuffle_arr(a.data, r), (a,), "pixel_unshuffle")
@@ -597,7 +613,7 @@ def pixel_unshuffle(a: Tensor, r: int) -> Tensor:
 
 
 def pixel_shuffle(a: Tensor, r: int) -> Tensor:
-    c = a.data.shape[2]
+    c = a.data.shape[-1]
     if c % (r * r):
         raise ValueError(f"channel count {c} not divisible by {r * r}")
     out = _result(_shuffle_arr(a.data, r), (a,), "pixel_shuffle")
@@ -613,11 +629,14 @@ def pixel_shuffle(a: Tensor, r: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def conv2d(x: Tensor, kernel: Tensor, mode: str, bias: Tensor | None = None) -> Tensor:
-    """2-D convolution on H x W x C maps; 3x3 kernels see zeros outside the map.
+    """2-D convolution on (..., H, W, C) maps, each map of the leading axes on
+    its own; 3x3 kernels see zeros outside the map.
 
     modes: 'pointwise_1x1' kernel (Cin, Cout); 'depthwise_3x3' kernel (3, 3, C);
     'full_3x3' kernel (3, 3, Cin, Cout).
     """
+    if x.data.ndim < 3:
+        raise ValueError(f"conv2d expects (..., H, W, C) maps, got shape {x.data.shape}")
     if mode == "pointwise_1x1":
         out = _conv_pointwise(x, kernel)
     elif mode == "depthwise_3x3":
@@ -637,6 +656,8 @@ def _taps(h: int, w: int, r0: int = 0, r1: int | None = None):
     Output (i, j) reads input (i + di - 1, j + dj - 1). Reads outside the
     h x w input would see zeros, so the windows leave them out and no padded
     copy is made. Only output rows r0 <= i < r1 (default all) are covered.
+    A window indexes the (H, W) axes of an (N, H, W, C) array: every item of
+    the leading axis is covered.
     """
     r1 = h if r1 is None else r1
 
@@ -648,78 +669,95 @@ def _taps(h: int, w: int, r0: int = 0, r1: int | None = None):
         rows_out, rows_in = spans(r0, r1, h, di)
         for dj in range(3):
             cols_out, cols_in = spans(0, w, w, dj)
-            yield di, dj, (rows_out, cols_out), (rows_in, cols_in)
+            yield di, dj, (slice(None), rows_out, cols_out), (slice(None), rows_in, cols_in)
+
+
+def _items(x: np.ndarray) -> np.ndarray:
+    """(..., H, W, C) as (N, H, W, C), the leading axes flattened into N."""
+    return x.reshape((-1,) + x.shape[-3:])
 
 
 def _conv_pointwise(x: Tensor, k: Tensor) -> Tensor:
-    h, w, ci = x.data.shape
+    ci = x.data.shape[-1]
     if k.data.shape[0] != ci:
         raise ValueError(f"pointwise kernel {k.data.shape} vs input channels {ci}")
-    y = x.data.reshape(h * w, ci) @ k.data
-    out = _result(y.reshape(h, w, -1), (x, k), "conv1x1")
+    y = x.data.reshape(-1, ci) @ k.data
+    out = _result(y.reshape(x.data.shape[:-1] + (-1,)), (x, k), "conv1x1")
     if out.requires_grad:
         def backward():
-            g = out.grad.reshape(h * w, -1)
+            g = out.grad.reshape(-1, out.grad.shape[-1])
             if x.requires_grad:
-                _accum(x, (g @ k.data.T).reshape(h, w, ci))
-            _accum(k, x.data.reshape(h * w, ci).T @ g)
+                _accum(x, (g @ k.data.T).reshape(x.data.shape))
+            _accum(k, x.data.reshape(-1, ci).T @ g)
         out._backward = backward
     return out
 
 
 def _conv_depthwise(x: Tensor, k: Tensor) -> Tensor:
-    h, w, c = x.data.shape
+    xs = _items(x.data)
+    n, h, w, c = xs.shape
     if k.data.shape != (3, 3, c):
         raise ValueError(f"depthwise kernel {k.data.shape} vs input channels {c}")
-    # row blocks of _BLOCK_BYTES: the centre tap writes a block, then each
-    # other tap multiplies into one scratch block and adds it in
-    y = np.empty_like(x.data)
-    rows = _rows_per_block(w * c * x.data.itemsize)
-    scratch = np.empty(min(rows, h) * w * c, dtype=x.data.dtype)
-    for r0 in range(0, h, rows):
-        r1 = min(h, r0 + rows)
-        np.multiply(x.data[r0:r1], k.data[1, 1], out=y[r0:r1])
+    # blocks of _BLOCK_BYTES, whole maps when one fits, else rows of one map:
+    # the centre tap writes a block, then each other tap multiplies into one
+    # scratch block and adds it in
+    y = np.empty_like(xs)
+    rows = _rows_per_block(w * c * xs.itemsize)
+    if rows >= h:
+        step = rows // h
+        blocks = [(slice(i, i + step), 0, h) for i in range(0, n, step)]
+    else:
+        blocks = [(slice(i, i + 1), r0, min(h, r0 + rows))
+                  for i in range(n) for r0 in range(0, h, rows)]
+    scratch = np.empty(min(rows, n * h) * w * c, dtype=xs.dtype)
+    for items, r0, r1 in blocks:
+        xb, yb = xs[items], y[items]
+        np.multiply(xb[:, r0:r1], k.data[1, 1], out=yb[:, r0:r1])
         for di, dj, o, i in _taps(h, w, r0, r1):
-            part = y[o]
+            part = yb[o]
             if (di, dj) == (1, 1) or not part.size:
                 continue
             prod = scratch[:part.size].reshape(part.shape)
-            np.multiply(x.data[i], k.data[di, dj], out=prod)
+            np.multiply(xb[i], k.data[di, dj], out=prod)
             np.add(part, prod, out=part)
-    out = _result(y, (x, k), "conv_dw3x3")
+    out = _result(y.reshape(x.data.shape), (x, k), "conv_dw3x3")
     if out.requires_grad:
         def backward():
-            g = out.grad
+            g = _items(out.grad)
             gx, gk = _grad(x), _grad(k)
+            gxs = None if gx is None else _items(gx)
             for di, dj, o, i in _taps(h, w):
                 if gk is not None:
-                    gk[di, dj] += (x.data[i] * g[o]).sum(axis=(0, 1))
-                if gx is not None:
-                    gx[i] += k.data[di, dj] * g[o]
+                    gk[di, dj] += (xs[i] * g[o]).sum(axis=(0, 1, 2))
+                if gxs is not None:
+                    gxs[i] += k.data[di, dj] * g[o]
         out._backward = backward
     return out
 
 
 def _conv_full3x3(x: Tensor, k: Tensor) -> Tensor:
-    h, w, ci = x.data.shape
+    xs = _items(x.data)
+    n, h, w, ci = xs.shape
     if k.data.shape[:3] != (3, 3, ci):
         raise ValueError(f"3x3 kernel {k.data.shape} vs input channels {ci}")
     co = k.data.shape[3]
-    y = np.zeros((h, w, co), dtype=x.data.dtype)
+    y = np.zeros((n, h, w, co), dtype=xs.dtype)
     for di, dj, o, i in _taps(h, w):
-        win = x.data[i]
-        y[o] += (win.reshape(-1, ci) @ k.data[di, dj]).reshape(win.shape[:2] + (co,))
-    out = _result(y, (x, k), "conv3x3")
+        win = xs[i]
+        y[o] += (win.reshape(-1, ci) @ k.data[di, dj]).reshape(win.shape[:3] + (co,))
+    out = _result(y.reshape(x.data.shape[:-1] + (co,)), (x, k), "conv3x3")
     if out.requires_grad:
         def backward():
+            gout = _items(out.grad)
             gx, gk = _grad(x), _grad(k)
+            gxs = None if gx is None else _items(gx)
             for di, dj, o, i in _taps(h, w):
-                win = x.data[i]
-                g = out.grad[o].reshape(-1, co)
+                win = xs[i]
+                g = gout[o].reshape(-1, co)
                 if gk is not None:
                     gk[di, dj] += win.reshape(-1, ci).T @ g
-                if gx is not None:
-                    gx[i] += (g @ k.data[di, dj].T).reshape(win.shape)
+                if gxs is not None:
+                    gxs[i] += (g @ k.data[di, dj].T).reshape(win.shape)
         out._backward = backward
     return out
 

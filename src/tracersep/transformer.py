@@ -10,6 +10,8 @@ it into a GELU-activated gate and a linear value. The latent modulation in
 front of each sub-block is one linear map to 2C channels split into scale |
 shift (see `latent.ModulationParams`). Residuals bypass the prior
 modulation, so zeroed output projections reduce every block to identity.
+Feature maps are (..., H, W, C) and latents (..., L): any leading axes are a
+batch, each item attended to and modulated on its own.
 """
 from __future__ import annotations
 
@@ -91,11 +93,17 @@ class BlockParams(T.Module):
         self.ffn = FeedForwardParams(channels, expansion, rng, f"{prefix}.ffn")
 
 
+def _permute_last(x: Tensor, perm: tuple) -> Tensor:
+    """x with its last len(perm) axes permuted by perm; leading axes stay."""
+    n = x.data.ndim - len(perm)
+    return T.transpose(x, tuple(range(n)) + tuple(n + p for p in perm))
+
+
 def _heads_view(x: Tensor, heads: int) -> Tensor:
-    """(H, W, C) -> (heads, C/heads, H*W)."""
-    h, w, c = x.data.shape
-    y = T.reshape(x, (h * w, heads, c // heads))
-    return T.transpose(y, (1, 2, 0))
+    """(..., H, W, C) -> (..., heads, C/heads, H*W)."""
+    *lead, h, w, c = x.data.shape
+    y = T.reshape(x, (*lead, h * w, heads, c // heads))
+    return _permute_last(y, (1, 2, 0))
 
 
 def _project(m: Tensor, pw: Parameter, dw: Parameter, parts: int) -> list[Tensor]:
@@ -106,29 +114,29 @@ def _project(m: Tensor, pw: Parameter, dw: Parameter, parts: int) -> list[Tensor
 
 def _channel_attention(q: Tensor, k: Tensor, params: AttentionParams) -> Tensor:
     kh = _heads_view(k, params.heads)
-    qh = T.transpose(_heads_view(q, params.heads), (0, 2, 1))  # (heads, HW, C/h)
+    qh = _permute_last(_heads_view(q, params.heads), (1, 0))  # (..., heads, HW, C/h)
     gamma_div = T.abs_(params.gamma) + GAMMA_EPS
     scores = T.matmul(kh, qh) / gamma_div
     return T.softmax(scores, axis=-1)
 
 
 def attention_map(m: Tensor, params: AttentionParams) -> Tensor:
-    """Per-head channel attention map (heads, C/h, C/h); rows sum to 1."""
+    """Per-head channel attention map (..., heads, C/h, C/h); rows sum to 1."""
     q, k, _ = _project(m, params.qkv_pw, params.qkv_dw, 3)
     return _channel_attention(q, k, params)
 
 
 def mdta(m: Tensor, params: AttentionParams, residual: Tensor | None = None) -> Tensor:
     """Multi-head transposed attention; residual defaults to the input itself."""
-    h, w, c = m.data.shape
+    *lead, h, w, c = m.data.shape
     heads = params.heads
     if c % heads:
         raise ValueError(f"{heads} heads do not divide {c} channels")
     q, k, v = _project(m, params.qkv_pw, params.qkv_dw, 3)
     attn = _channel_attention(q, k, params)
     vh = _heads_view(v, heads)
-    mixed = T.matmul(attn, vh)  # (heads, C/h, HW)
-    y = T.reshape(T.transpose(mixed, (2, 0, 1)), (h, w, c))
+    mixed = T.matmul(attn, vh)  # (..., heads, C/h, HW)
+    y = T.reshape(_permute_last(mixed, (2, 0, 1)), (*lead, h, w, c))
     y = T.conv2d(y, params.out_pw, "pointwise_1x1")
     return y + (m if residual is None else residual)
 
@@ -194,7 +202,7 @@ class UNet(T.Module):
     def forward(self, dual: np.ndarray, masked_dual: np.ndarray,
                 latent_flat: Tensor) -> Tensor:
         cfg = self.cfg
-        h, w = dual.shape
+        h, w = dual.shape[-2:]
         factor = 2 ** (cfg.levels - 1)
         if h % factor or w % factor:
             raise ValueError(f"{h}x{w} input not divisible by {factor}")
@@ -212,7 +220,7 @@ class UNet(T.Module):
             x = transformer_block(x, latent_flat, blk)
         for lvl in range(cfg.levels - 2, -1, -1):
             x = T.conv2d(T.pixel_shuffle(x, 2), self.up[lvl], "pointwise_1x1")
-            x = T.conv2d(T.concat([x, skips[lvl]], axis=2), self.skip_fuse[lvl],
+            x = T.conv2d(T.concat([x, skips[lvl]], axis=-1), self.skip_fuse[lvl],
                          "pointwise_1x1")
             for blk in self.dec_blocks[lvl]:
                 x = transformer_block(x, latent_flat, blk)
@@ -221,7 +229,11 @@ class UNet(T.Module):
 
 def unet_forward(dual: np.ndarray, masked_dual: np.ndarray, latent: Tensor,
                  unet: UNet) -> list[Tensor]:
-    """Separated tracer images, one per output channel."""
-    flat = T.reshape(latent, (-1,))
+    """Separated tracer images (..., H, W), one per output channel.
+
+    dual and masked_dual are (..., H, W) and latent (..., d, n), with the
+    same leading axes.
+    """
+    flat = T.reshape(latent, latent.data.shape[:-2] + (-1,))
     out = unet.forward(dual, masked_dual, flat)
     return [T.channel(out, k) for k in range(unet.cfg.n_tracers)]

@@ -121,6 +121,18 @@ def test_train_writes_checkpoint_and_manifest(ckpt):
                                                       "manifest.json"]
 
 
+@pytest.mark.parametrize("flag", ["steps", "batch"])
+def test_train_rejects_nonpositive_flag_before_training(tmp_path, corpus, capsys, flag):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    out = tmp_path / "ckpt"
+    rc = dispatch(["train", "--config", str(cfg), "--data", str(corpus),
+                   f"--{flag}", "0", "--out", str(out)])
+    assert rc == 1
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_checkpoint_sha_agrees_across_commands(tmp_path, corpus, ckpt):
     sep, sweep = tmp_path / "sep", tmp_path / "sweep"
     assert dispatch(["separate", "--ckpt", str(ckpt), "--input",

@@ -131,6 +131,18 @@ def test_denoiser_shapes_and_errors():
         dn(Tensor(np.zeros((3, 2))), 2, Tensor(np.zeros(4)))
 
 
+def test_denoiser_rejects_out_of_range_steps():
+    dn = small_denoiser()
+    latent, cond = Tensor(np.zeros((3, 2))), Tensor(np.zeros(3))
+    for t in (0, 5):  # 0 used to run as t = steps, steps + 1 to raise IndexError
+        with pytest.raises(ValueError, match=f"step {t} outside"):
+            dn(latent, t, cond)
+    with pytest.raises(ValueError, match="step 0 outside"):
+        dn(Tensor(np.zeros((3, 3, 2))), np.array([2, 0, 4]), Tensor(np.zeros((3, 3))))
+    with pytest.raises(ValueError, match="steps of shape"):
+        dn(Tensor(np.zeros((3, 3, 2))), np.array([1, 2]), Tensor(np.zeros((3, 3))))
+
+
 def test_denoise_full_identity_with_zero_denoiser():
     dn = small_denoiser()
     for p in dn.parameters():

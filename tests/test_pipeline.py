@@ -92,6 +92,12 @@ def test_train_step_additivity_and_history():
         assert np.isfinite(total)
 
 
+def test_train_step_rejects_an_empty_batch():
+    model = SeparationModel(tiny_config())
+    with pytest.raises(ValueError, match="non-empty batch"):
+        train_step([], model, Adam(model.parameters()), TrainConfig(), make_rng(0), 0, 1)
+
+
 def test_train_deterministic_trajectory():
     def run():
         model = SeparationModel(tiny_config())

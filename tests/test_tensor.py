@@ -455,6 +455,17 @@ def test_no_grad_suppresses_graph():
     assert y._prev == ()
 
 
+def test_backward_releases_the_graph():
+    # each node drops its closure, which refers back to the node, so the graph
+    # needs no cyclic garbage collection to be freed
+    x = Parameter(np.array([1.5, -2.0]), "x")
+    h = T.gelu(x * x)
+    loss = T.sum_(h * x)
+    loss.backward()
+    assert all(t._backward is None and t._prev == () for t in (h, loss))
+    assert x.grad is not None
+
+
 def test_shared_subexpression_accumulates():
     # y = (x + x) * x = 2x^2, dy/dx = 4x
     x = Parameter(np.array([1.5]), "x")
