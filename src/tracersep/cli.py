@@ -32,8 +32,14 @@ from .texture import image_mask, lbp_map, masked_texture, texture_mask
 # PGM output (P5, big-endian sample order for 16-bit)
 # ---------------------------------------------------------------------------
 
+def _check_2d(image: np.ndarray, what: str) -> np.ndarray:
+    if image.ndim != 2:
+        raise ValueError(f"{what} must be one 2-D image, got shape {image.shape}")
+    return image
+
+
 def write_pgm16(path, image: np.ndarray) -> None:
-    image = np.asarray(image, dtype=np.float64)
+    image = _check_2d(np.asarray(image, dtype=np.float64), "PGM output")
     lo, hi = image.min(), image.max()
     scale = 65535.0 / (hi - lo) if hi > lo else 0.0
     pix = np.rint((image - lo) * scale).astype(">u2")
@@ -43,7 +49,7 @@ def write_pgm16(path, image: np.ndarray) -> None:
 
 
 def write_pgm8(path, values: np.ndarray) -> None:
-    pix = np.asarray(values)
+    pix = _check_2d(np.asarray(values), "PGM output")
     if pix.max() <= 1:
         pix = pix * 255
     pix = np.clip(np.rint(pix), 0, 255).astype(np.uint8)
@@ -129,8 +135,8 @@ def cmd_train(args, argv) -> int:
 
 def cmd_separate(args, argv) -> int:
     started = time.time()
+    dual = _check_2d(load_tsr(args.input), f"input {args.input}")
     model, _ = load_checkpoint(args.ckpt)
-    dual = load_tsr(args.input)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fused, raw, prior = separate(dual, model, seed=args.seed, alpha=args.alpha,
@@ -184,7 +190,7 @@ def cmd_evaluate(args, argv) -> int:
 
 def cmd_lbp(args, argv) -> int:
     started = time.time()
-    image = load_tsr(args.input)
+    image = _check_2d(load_tsr(args.input), f"input {args.input}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     codes = lbp_map(image)
@@ -204,22 +210,19 @@ def run_sweep_tau(ckpt_dir, corpus_dir, taus: list[int], seed: int = 0):
             raise ValueError(f"tau {tau} outside [0, 255]")
     model, _ = load_checkpoint(ckpt_dir)
     pairs = load_corpus(corpus_dir)
+    duals = np.stack([pair.dual for pair in pairs])
     results = []
     for tau in taus:
-        metric_rows = []
-        density = []
-        for idx, pair in enumerate(pairs):
-            fused, _, _ = separate(pair.dual, model, seed=seed + idx, tau=tau)
-            for k, pred in enumerate(fused):
-                metric_rows.append(evaluate_pair(pred, pair, k, f"p{idx:04d}"))
-            density.append(float(image_mask(pair.dual, tau).mean()))
+        fused, _, _ = separate(duals, model, seed=seed, tau=tau)  # image idx: seed + idx
+        metric_rows = [evaluate_pair(pred[idx], pair, k, f"p{idx:04d}")
+                       for idx, pair in enumerate(pairs) for k, pred in enumerate(fused)]
         finite_psnr = [r.psnr_db for r in metric_rows if math.isfinite(r.psnr_db)]
         results.append({
             "tau": tau,
             "psnr_db": float(np.mean(finite_psnr)) if finite_psnr else math.inf,
             "ssim": float(np.mean([r.ssim for r in metric_rows])),
             "nrmse": float(np.mean([r.nrmse for r in metric_rows])),
-            "mask_density": float(np.mean(density)),
+            "mask_density": float(np.mean(image_mask(duals, tau).mean(axis=(-2, -1)))),
         })
     return results
 

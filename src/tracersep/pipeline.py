@@ -101,12 +101,6 @@ class SeparationModel(T.Module):
         self.texture = cfg.texture()
 
 
-def _image_masks(images: np.ndarray, tau: int) -> np.ndarray:
-    """The texture mask of each (H, W) image of images (..., H, W)."""
-    flat = images.reshape((-1,) + images.shape[-2:])
-    return np.stack([image_mask(im, tau) for im in flat]).reshape(images.shape)
-
-
 def loss_tm(separated: list[Tensor], targets: list[np.ndarray],
             texture_cfg: TextureConfig) -> Tensor:
     """Per-tracer L1 on images plus L1 on ground-truth-masked textures.
@@ -120,7 +114,7 @@ def loss_tm(separated: list[Tensor], targets: list[np.ndarray],
     for pred, truth in zip(separated, targets):
         if pred.data.shape != truth.shape:
             raise ValueError(f"shape mismatch {pred.data.shape} vs {truth.shape}")
-        mask = _image_masks(truth, texture_cfg.tau)
+        mask = image_mask(truth, texture_cfg.tau)
         term = T.mean(T.abs_(pred - Tensor(truth)))
         term = term + T.mean(T.abs_(pred * Tensor(mask) - Tensor(truth * mask)))
         total = term if total is None else total + term
@@ -148,7 +142,7 @@ def _batch_losses(batch: list[PhantomPair], model: SeparationModel,
     dual = np.stack([pair.dual for pair in batch])
     singles = [np.stack(images) for images in zip(*(pair.singles for pair in batch))]
     latent = extract_msp(dual, singles, model.msp_encoder)
-    u_dual = masked_texture(dual, _image_masks(dual, model.texture.tau))
+    u_dual = masked_texture(dual, image_mask(dual, model.texture.tau))
     condition = extract_condition(dual, u_dual, model.cond_encoder)
 
     draws = [(int(rng.integers(1, sched.T + 1)),
@@ -224,22 +218,26 @@ def separate(dual: np.ndarray, model: SeparationModel, seed: int,
              alpha: float | None = None, tau: int | None = None):
     """Full inference: condition -> latent rollout -> U-net -> fusion.
 
-    Returns (fused images, raw images, latent prior estimate).
+    dual is (..., H, W); item i of its flattened leading axes starts its rollout
+    from make_rng(seed + i). Returns (fused images, raw images, latent prior
+    estimate): one (..., H, W) array per tracer and the (..., d, n) latent.
     """
     cfg = model.cfg
     tau = model.texture.tau if tau is None else tau
     alpha = model.texture.alpha if alpha is None else alpha
     TextureConfig(tau=tau, alpha=alpha)  # rejects either out of range before any stage runs
-    rng = make_rng(seed)
+    lead = dual.shape[:-2]
     with no_grad():
         u_dual = masked_texture(dual, image_mask(dual, tau))
         condition = extract_condition(dual, u_dual, model.cond_encoder)
-        start = Tensor(rng.standard_normal((cfg.d, cfg.n_tracers)))
+        starts = [make_rng(seed + i).standard_normal((cfg.d, cfg.n_tracers))
+                  for i in range(int(np.prod(lead)))]
+        start = Tensor(np.reshape(starts, lead + (cfg.d, cfg.n_tracers)))
         latent_hat = denoise_full(start, condition, model.denoiser, model.schedule)
         preds = unet_forward(dual, u_dual, latent_hat, model.unet)
-    raw = [p.data.copy() for p in preds]
-    fused = [fuse(r, masked_texture(r, image_mask(r, tau)), alpha) for r in raw]
-    return fused, raw, latent_hat.data.copy()
+    raw = np.stack([p.data for p in preds])  # (n, ..., H, W)
+    fused = fuse(raw, masked_texture(raw, image_mask(raw, tau)), alpha)
+    return list(fused), list(raw), latent_hat.data
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,13 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_prev", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=_state["dtype"])
         if not np.all(np.isfinite(arr)):
             raise ValueError("non-finite values rejected at tensor boundary")
         self.data = arr
         self.grad = None
-        self.requires_grad = requires_grad and _state["grad"]
+        self.requires_grad = False
         self.op = "leaf"
         self._prev: tuple = ()
         self._backward: Callable[[], None] | None = None
@@ -558,11 +558,10 @@ def gelu(a: Tensor) -> Tensor:
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     if not 0.0 < slope < 1.0:
         raise ValueError("leaky_relu slope must lie in (0, 1)")
-    mask = a.data >= 0
-    out = _result(np.where(mask, a.data, slope * a.data), (a,), "leaky_relu")
+    out = _result(np.maximum(a.data, slope * a.data), (a,), "leaky_relu")
     if out.requires_grad:
         def backward():
-            _accum(a, out.grad * np.where(mask, 1.0, slope).astype(a.data.dtype))
+            _accum(a, out.grad * np.where(a.data >= 0, 1.0, slope).astype(a.data.dtype))
         out._backward = backward
     return out
 

@@ -1,8 +1,8 @@
 """Texture mask conditioning: LBP maps, threshold masks, masked textures, fusion.
 
-Images are 2-D non-negative float activity grids. LBP works on an 8-bit
-quantization of the image (affine min-max rescale); codes use the standard
-8-bit convention with weights 2^(p-1), so values live in [0, 255].
+Images are stacks (..., H, W) of non-negative float activity grids. LBP works
+on an 8-bit quantization of each (H, W) image (affine min-max rescale); codes
+use the standard 8-bit convention with weights 2^(p-1), so values live in [0, 255].
 """
 from __future__ import annotations
 
@@ -30,13 +30,12 @@ class TextureConfig:
 
 
 def quantize_to_byte(image: np.ndarray) -> np.ndarray:
-    """Affine rescale of [min, max] onto [0, 255]; constant images map to zeros."""
+    """Affine rescale of each image's [min, max] onto [0, 255]; constant ones give 0."""
     image = np.asarray(image, dtype=np.float64)
-    lo = image.min()
-    hi = image.max()
-    if hi == lo:
-        return np.zeros(image.shape, dtype=np.int64)
-    return np.rint((image - lo) * (255.0 / (hi - lo))).astype(np.int64)
+    lo = image.min(axis=(-2, -1), keepdims=True)
+    hi = image.max(axis=(-2, -1), keepdims=True)
+    scale = np.divide(255.0, hi - lo, out=np.zeros_like(lo), where=hi > lo)
+    return np.rint((image - lo) * scale).astype(np.int64)
 
 
 def lbp_map(image: np.ndarray) -> np.ndarray:
@@ -45,14 +44,14 @@ def lbp_map(image: np.ndarray) -> np.ndarray:
     A neighbor contributes its bit when neighbor - center >= 0.
     """
     image = np.asarray(image)
-    if image.ndim != 2 or image.size == 0:
-        raise ValueError(f"expected non-empty 2-D image, got shape {image.shape}")
+    if image.ndim < 2 or image.size == 0:
+        raise ValueError(f"expected non-empty (..., H, W) images, got shape {image.shape}")
     q = quantize_to_byte(image)
-    h, w = q.shape
-    qp = np.pad(q, 1, mode="edge")
-    codes = np.zeros((h, w), dtype=np.int64)
+    h, w = q.shape[-2:]
+    qp = np.pad(q, [(0, 0)] * (q.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+    codes = np.zeros(q.shape, dtype=np.int64)
     for p, (dy, dx) in enumerate(NEIGHBOR_OFFSETS):
-        neigh = qp[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
+        neigh = qp[..., 1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
         codes |= ((neigh - q) >= 0).astype(np.int64) << p
     return codes
 

@@ -1,16 +1,21 @@
 """End-to-end command-line behavior: exit codes, artifacts, replay."""
 import hashlib
 import json
+import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tracersep import tensor as T
 from tracersep.cli import (dispatch, evaluate_predictions, run_sweep_tau, write_pgm8,
                            write_pgm16)
-from tracersep.evaluation import load_corpus
-from tracersep.pipeline import load_checkpoint
-from tracersep.tensor import load_tsr, save_tsr
+from tracersep.evaluation import PhantomSpec, cr, evaluate_pair, load_corpus, save_corpus
+from tracersep.pipeline import (ModelConfig, SeparationModel, load_checkpoint,
+                                save_checkpoint, separate)
+from tracersep.tensor import load_tsr, make_rng, save_tsr
+from tracersep.texture import image_mask
 
 TINY = {
     "model": {"d": 4, "lpeb_width": 4, "lpeb_res_blocks": 1,
@@ -91,12 +96,16 @@ def test_lbp_outputs(tmp_path, corpus):
     assert manifest["config"]["tau"] == 180
 
 
-def test_evaluate_truth_against_itself(tmp_path, corpus):
-    pred = tmp_path / "pred"
+def _truth_as_predictions(pred: Path, corpus: Path) -> Path:
     pred.mkdir()
     for idx, pair in enumerate(load_corpus(corpus)):
         for k, single in enumerate(pair.singles):
             save_tsr(pred / f"p{idx:04d}_t{k}.tsr", single)
+    return pred
+
+
+def test_evaluate_truth_against_itself(tmp_path, corpus):
+    pred = _truth_as_predictions(tmp_path / "pred", corpus)
     out = tmp_path / "metrics.csv"
     assert dispatch(["evaluate", "--pred", str(pred), "--truth", str(corpus),
                      "--out", str(out)]) == 0
@@ -216,3 +225,85 @@ def test_pgm_writers(tmp_path):
     write_pgm8(tmp_path / "m.pgm", np.array([[0, 1], [1, 0]]))
     raw8 = (tmp_path / "m.pgm").read_bytes()
     assert raw8.endswith(bytes([0, 255, 255, 0]))
+
+
+def test_evaluate_regions_replace_only_the_masks_they_hold(tmp_path, corpus):
+    pred = _truth_as_predictions(tmp_path / "pred", corpus)
+    pair = load_corpus(corpus)[0]
+    background = pair.region_masks["background_t0"]
+    regions = tmp_path / "regions"
+    regions.mkdir()
+    # one altered lesion mask; every other mask falls back to the corpus's
+    save_tsr(regions / "p0000_mask_lesion_t0.tsr", background)
+    lines = {}
+    for name, extra in (("plain", []), ("regions", ["--regions", str(regions)])):
+        out = tmp_path / f"{name}.csv"
+        assert dispatch(["evaluate", "--pred", str(pred), "--truth", str(corpus),
+                         "--out", str(out)] + extra) == 0
+        lines[name] = out.read_text().strip().split("\n")
+    plain, altered = lines["plain"], lines["regions"]
+    assert len(altered) == len(plain) == 5
+    assert altered[0] == plain[0] and altered[2:] == plain[2:]
+    cr_col = plain[0].split(",").index("cr")
+    want = cr(pair.singles[0], background, background)
+    assert altered[1].split(",")[cr_col] == f"{want:.9g}"
+    assert altered[1].split(",")[cr_col] != plain[1].split(",")[cr_col]
+    assert altered[1].split(",")[:cr_col] == plain[1].split(",")[:cr_col]
+
+
+@pytest.mark.parametrize("command", ["separate", "lbp"])
+def test_image_commands_reject_a_stack_before_any_work(tmp_path, capsys, command):
+    stack = tmp_path / "stack.tsr"
+    save_tsr(stack, make_rng(0).uniform(size=(2, 8, 8)))
+    out = tmp_path / "out"
+    argv = [command, "--input", str(stack), "--out", str(out)]
+    if command == "separate":
+        # no checkpoint there: the shape check must come before the load
+        argv += ["--ckpt", str(tmp_path / "no_ckpt")]
+    assert dispatch(argv) == 1
+    assert "(2, 8, 8)" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.rglob("*.pgm"))
+
+
+def test_pgm_writers_reject_non_2d_arrays(tmp_path):
+    for write in (write_pgm16, write_pgm8):
+        for shape in ((2, 2, 2), (4,)):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+                write(tmp_path / "x.pgm", np.zeros(shape))
+    assert not (tmp_path / "x.pgm").exists()
+
+
+def _sweep_reference(model, pairs, taus, seed):
+    """run_sweep_tau's rows from one separate call per image and tau."""
+    rows = []
+    for tau in taus:
+        metric_rows, density = [], []
+        for idx, pair in enumerate(pairs):
+            fused, _, _ = separate(pair.dual, model, seed=seed + idx, tau=tau)
+            for k, pred in enumerate(fused):
+                metric_rows.append(evaluate_pair(pred, pair, k, f"p{idx:04d}"))
+            density.append(float(image_mask(pair.dual, tau).mean()))
+        finite_psnr = [r.psnr_db for r in metric_rows if math.isfinite(r.psnr_db)]
+        rows.append({"tau": tau, "psnr_db": float(np.mean(finite_psnr)),
+                     "ssim": float(np.mean([r.ssim for r in metric_rows])),
+                     "nrmse": float(np.mean([r.nrmse for r in metric_rows])),
+                     "mask_density": float(np.mean(density))})
+    return rows
+
+
+def test_sweep_tau_rows_match_a_per_image_loop(tmp_path):
+    taus = [0, 120, 180, 255]
+    with T.precision("f64"):
+        model = SeparationModel(ModelConfig(**TINY["model"]))
+        # give the latent path weight, so that each image's seed matters
+        for blocks in model.unet.enc_blocks + model.unet.dec_blocks:
+            for blk in blocks:
+                blk.mod1.w.data[:] = 0.1 * make_rng(8).standard_normal(blk.mod1.w.data.shape)
+        save_checkpoint(model, tmp_path / "ckpt")
+        pairs = save_corpus(tmp_path / "corpus", [3, 4, 5], PhantomSpec(size=8))
+        rows = run_sweep_tau(tmp_path / "ckpt", tmp_path / "corpus", taus, seed=2)
+        want = _sweep_reference(model, pairs, taus, seed=2)
+    assert [r["tau"] for r in rows] == taus
+    for got, ref in zip(rows, want):
+        assert got == pytest.approx(ref, rel=1e-10, abs=1e-10)

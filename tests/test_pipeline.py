@@ -180,16 +180,43 @@ def test_separate_contract():
     again = separate(pair.dual, model, seed=3)
     for a, b in zip(fused, again[0]):
         assert np.array_equal(a, b)
-    # the freshly built model starts with inert modulation, so give the
-    # latent path some weight before checking seed sensitivity
+    give_latent_weight(model)
+    raw = separate(pair.dual, model, seed=3)[1]
+    different = separate(pair.dual, model, seed=4)
+    assert not all(np.array_equal(a, b) for a, b in zip(raw, different[1]))
+
+
+def give_latent_weight(model):
+    """A freshly built model starts with inert modulation, where the rollout
+    seed cannot change the images; give the latent path some weight."""
     rng = make_rng(8)
     for blocks in model.unet.enc_blocks + model.unet.dec_blocks:
         for blk in blocks:
             scale_w = blk.mod1.w.data[:, :blk.mod1.w.data.shape[1] // 2]
             scale_w[:] = 0.1 * rng.standard_normal(scale_w.shape)
-    raw = separate(pair.dual, model, seed=3)[1]
-    different = separate(pair.dual, model, seed=4)
-    assert not all(np.array_equal(a, b) for a, b in zip(raw, different[1]))
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 2)])
+def test_separate_stack_is_each_image_with_seed_plus_index(lead):
+    with T.precision("f64"):
+        model = SeparationModel(tiny_config())
+        give_latent_weight(model)
+        n = int(np.prod(lead))
+        duals = np.stack([p.dual for p in tiny_pairs(n)]).reshape(lead + (8, 8))
+        flat = duals.reshape(-1, 8, 8)
+        flat[-1] = flat[0]  # the same image at two indices gets two rollouts
+        fused, raw, latent = separate(duals, model, seed=5, alpha=0.7, tau=150)
+        assert len(fused) == len(raw) == 2
+        assert latent.shape == lead + (4, 2)
+        for i, idx in enumerate(np.ndindex(*lead)):
+            fused1, raw1, latent1 = separate(duals[idx], model, seed=5 + i, alpha=0.7,
+                                             tau=150)
+            for k in range(2):
+                np.testing.assert_allclose(fused[k][idx], fused1[k], rtol=0, atol=1e-10)
+                np.testing.assert_allclose(raw[k][idx], raw1[k], rtol=0, atol=1e-10)
+            np.testing.assert_allclose(latent[idx], latent1, rtol=0, atol=1e-10)
+        raw0 = raw[0].reshape(-1, 8, 8)
+        assert not np.allclose(raw0[0], raw0[-1])
 
 
 @pytest.mark.parametrize("kw, message", [({"tau": 300}, "tau 300 outside"),

@@ -119,6 +119,22 @@ def test_leaky_relu_examples():
         T.leaky_relu(x, 1.5)
 
 
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+def test_leaky_relu_is_the_masked_formula_bit_for_bit(prec):
+    with precision(prec):
+        dt = np.float32 if prec == "f32" else np.float64
+        tiny = np.finfo(dt).smallest_subnormal
+        vals = np.concatenate([make_rng(3).standard_normal(500),
+                               [0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny]]).astype(dt)
+        probe = make_rng(4).standard_normal(vals.shape).astype(dt)
+        x = Parameter(vals, "x")
+        out = T.leaky_relu(x, 0.1)
+        T.sum_(out * Tensor(probe)).backward()
+    mask = vals >= 0
+    assert out.data.tobytes() == np.where(mask, vals, 0.1 * vals).tobytes()
+    assert x.grad.tobytes() == (probe * np.where(mask, 1.0, 0.1).astype(dt)).tobytes()
+
+
 def test_layer_norm_examples():
     const = T.layer_norm(Tensor([[5.0, 5.0, 5.0]]), axis=1)
     assert np.allclose(const.data, 0.0, atol=1e-12)

@@ -1,6 +1,8 @@
 """LBP codes, threshold masks, and fusion."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracersep.tensor import make_rng
 from tracersep.texture import (NEIGHBOR_OFFSETS, TextureConfig, fuse,
@@ -80,10 +82,43 @@ def test_lbp_monotone_rescale_invariance():
 
 
 def test_lbp_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        lbp_map(np.zeros((0, 4)))
-    with pytest.raises(ValueError):
-        lbp_map(np.zeros(5))
+    for shape in ((0, 4), (5,), (), (0, 4, 4), (2, 0, 3), (2, 3, 0)):
+        with pytest.raises(ValueError, match="expected non-empty"):
+            lbp_map(np.zeros(shape))
+
+
+@st.composite
+def stacks(draw):
+    """(..., H, W) stacks with 1-pixel extents, constant images and tied values."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    images = rng.uniform(0.0, 4.0, size=lead + (h, w))
+    constant = (rng.random(lead) < 0.3)[..., None, None]
+    images = np.where(constant, images[..., :1, :1], images)
+    coarse = (rng.random(lead) < 0.3)[..., None, None]
+    return np.where(coarse, np.round(images), images)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(images=stacks(), tau=st.integers(0, 255))
+def test_texture_of_a_stack_is_the_texture_of_each_image(images, tau):
+    for f in (quantize_to_byte, lbp_map, lambda im: image_mask(im, tau)):
+        whole = f(images)
+        assert whole.shape == images.shape
+        for idx in np.ndindex(*images.shape[:-2]):
+            item = f(images[idx])
+            assert whole[idx].dtype == item.dtype
+            assert np.array_equal(whole[idx], item)
+
+
+def test_quantize_uses_each_image_range():
+    stack = np.stack([np.full((3, 3), 9.0), np.arange(9.0).reshape(3, 3),
+                      100.0 + np.arange(9.0).reshape(3, 3)])
+    q = quantize_to_byte(stack)
+    assert np.all(q[0] == 0)
+    assert np.array_equal(q[1], q[2])
+    assert q[1].min() == 0 and q[1].max() == 255
 
 
 def test_texture_mask_examples():
