@@ -25,7 +25,7 @@ from .evaluation import (MetricsRow, PhantomPair, PhantomSpec, evaluate_pair,
 from .pipeline import (ARCHIVE, META, ModelConfig, SeparationModel, TrainConfig,
                        load_checkpoint, save_checkpoint, separate, train)
 from .tensor import load_tsr, save_tsr
-from .texture import image_mask, lbp_map, masked_texture, texture_mask
+from .texture import lbp_map, masked_texture, texture_mask
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +211,7 @@ def run_sweep_tau(ckpt_dir, corpus_dir, taus: list[int], seed: int = 0):
     model, _ = load_checkpoint(ckpt_dir)
     pairs = load_corpus(corpus_dir)
     duals = np.stack([pair.dual for pair in pairs])
+    codes = lbp_map(duals)  # tau only thresholds the codes
     results = []
     for tau in taus:
         fused, _, _ = separate(duals, model, seed=seed, tau=tau)  # image idx: seed + idx
@@ -222,7 +223,7 @@ def run_sweep_tau(ckpt_dir, corpus_dir, taus: list[int], seed: int = 0):
             "psnr_db": float(np.mean(finite_psnr)) if finite_psnr else math.inf,
             "ssim": float(np.mean([r.ssim for r in metric_rows])),
             "nrmse": float(np.mean([r.nrmse for r in metric_rows])),
-            "mask_density": float(np.mean(image_mask(duals, tau).mean(axis=(-2, -1)))),
+            "mask_density": float(np.mean(texture_mask(codes, tau).mean(axis=(-2, -1)))),
         })
     return results
 

@@ -477,14 +477,26 @@ def softmax(a: Tensor, axis: int) -> Tensor:
         raise ValueError(f"axis {axis} invalid for shape {a.data.shape}")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _flush_subnormals(e / e.sum(axis=axis, keepdims=True))
     out = _result(y, (a,), "softmax")
     if out.requires_grad:
         def backward():
             g = out.grad
-            _accum(a, y * (g - (g * y).sum(axis=axis, keepdims=True)))
+            _accum(a, _flush_subnormals(y * (g - (g * y).sum(axis=axis, keepdims=True))))
         out._backward = backward
     return out
+
+
+def _flush_subnormals(x: np.ndarray) -> np.ndarray:
+    """x with every entry of magnitude below the dtype's smallest normal set to 0.
+
+    A saturated softmax row holds probabilities far below that, and on x86
+    every later multiply or add that reads or yields a subnormal takes a
+    slow microcode path, about 100x the normal cost. Flushing them changes
+    no entry by more than the dtype's smallest normal (1.2e-38 in f32).
+    """
+    x[np.abs(x) < np.finfo(x.dtype).tiny] = 0.0
+    return x
 
 
 def _rows_per_block(row_bytes: int) -> int:
@@ -561,7 +573,9 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     out = _result(np.maximum(a.data, slope * a.data), (a,), "leaky_relu")
     if out.requires_grad:
         def backward():
-            _accum(a, out.grad * np.where(a.data >= 0, 1.0, slope).astype(a.data.dtype))
+            # factor 1 where a >= 0, else slope, looked up by the mask's bytes
+            factor = np.array([slope, 1.0], a.data.dtype).take((a.data >= 0).view(np.uint8))
+            _accum(a, out.grad * factor)
         out._backward = backward
     return out
 
@@ -722,14 +736,20 @@ def _conv_depthwise(x: Tensor, k: Tensor) -> Tensor:
     out = _result(y.reshape(x.data.shape), (x, k), "conv_dw3x3")
     if out.requires_grad:
         def backward():
+            # one contraction per tap for gk; gx adds each tap's product, made
+            # in one scratch buffer, in _taps order, on which its bits depend
             g = _items(out.grad)
             gx, gk = _grad(x), _grad(k)
             gxs = None if gx is None else _items(gx)
+            scratch = None if gx is None else np.empty(gx.size, gx.dtype)
             for di, dj, o, i in _taps(h, w):
                 if gk is not None:
-                    gk[di, dj] += (xs[i] * g[o]).sum(axis=(0, 1, 2))
+                    gk[di, dj] += np.einsum("nhwc,nhwc->c", xs[i], g[o])
                 if gxs is not None:
-                    gxs[i] += k.data[di, dj] * g[o]
+                    part = gxs[i]
+                    prod = scratch[:part.size].reshape(part.shape)
+                    np.multiply(g[o], k.data[di, dj], out=prod)
+                    np.add(part, prod, out=part)
         out._backward = backward
     return out
 
@@ -841,14 +861,23 @@ class Adam:
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[p.name]
-            v = self.v[p.name]
+            g, m, v = p.grad, self.m[p.name], self.v[p.name]
+            # in place, in the order of m = b1 m + (1 - b1) g, v = b2 v +
+            # (1 - b2) g g, p -= lr (m / c1) / (sqrt(v / c2) + eps); a missing
+            # gradient counts as zero
+            s, d = np.empty_like(p.data), np.empty_like(p.data)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            if g is not None:
+                m += np.multiply(g, 1.0 - self.beta1, out=s)
+                np.multiply(g, 1.0 - self.beta2, out=s)
+                v += np.multiply(s, g, out=s)
+            np.divide(m, c1, out=s)
+            s *= self.lr
+            np.divide(v, c2, out=d)
+            np.sqrt(d, out=d)
+            d += self.eps
+            p.data -= np.divide(s, d, out=s)
 
 
 def _unfilled_param(shape, name: str) -> Parameter:
@@ -928,11 +957,11 @@ def read_tsr_record(fh, out: np.ndarray | None = None, hasher=None) -> np.ndarra
     byte of the record.
     """
     left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < 10:
+        raise ValueError(f"truncated header: expected at least 10 bytes, found {left}")
     head = fh.read(10)
     if head[:8] != TSR_MAGIC:
         raise ValueError(f"bad magic {head[:8]!r}")
-    if left < 10:
-        raise ValueError(f"truncated header: expected at least 10 bytes, found {left}")
     tag, rank = head[8], head[9]
     if tag not in (0, 1):
         raise ValueError(f"unknown dtype tag {tag}")

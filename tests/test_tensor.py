@@ -53,6 +53,31 @@ def test_softmax_rows_sum_to_one_extreme():
     assert np.all(np.isfinite(out.data))
 
 
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+def test_saturated_softmax_flushes_subnormals(prec):
+    dt = np.float32 if prec == "f32" else np.float64
+    tiny = np.finfo(dt).tiny
+    # f32 exp(-90) and exp(-100) are subnormal; f64 exp(-720), exp(-740) are
+    logits = np.array([[0.0, -90.0, -100.0, -200.0, -5.0],
+                       [0.0, -720.0, -740.0, -800.0, -1.0],
+                       [3.0, 2.0, 1.0, 0.0, -1.0]])
+    probe = make_rng(7).standard_normal(logits.shape)
+    with precision(prec):
+        x = Parameter(logits, "x")
+        out = T.softmax(x, axis=1)
+        T.sum_(out * Tensor(probe)).backward()
+        a, g = x.data, probe.astype(dt)
+    e = np.exp(a - a.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
+    gx = y * (g - (g * y).sum(axis=1, keepdims=True))
+    assert np.count_nonzero((y != 0) & (y < tiny)) > 0  # the plain formula has some
+    for got, plain in ((out.data, y), (x.grad, gx)):
+        assert not np.any((got != 0) & (np.abs(got) < tiny))
+        keep = np.abs(plain) >= tiny
+        assert got[keep].tobytes() == plain[keep].tobytes()
+        assert np.all(got[~keep] == 0)
+
+
 def test_softmax_invalid_axis():
     with pytest.raises(ValueError):
         T.softmax(Tensor([1.0, 2.0]), axis=3)
@@ -126,6 +151,7 @@ def test_leaky_relu_is_the_masked_formula_bit_for_bit(prec):
         tiny = np.finfo(dt).smallest_subnormal
         vals = np.concatenate([make_rng(3).standard_normal(500),
                                [0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny]]).astype(dt)
+        vals = vals.reshape(2, 11, 23)  # the backward's lookup on a map-shaped mask
         probe = make_rng(4).standard_normal(vals.shape).astype(dt)
         x = Parameter(vals, "x")
         out = T.leaky_relu(x, 0.1)
@@ -278,6 +304,32 @@ def test_conv3x3_property_zero_padded(h, w, ci, co, seed):
                      + T.sum_(T.conv2d(x, kf, "full_3x3") * probe_f),
                      [x, kd, kf], max_elems=12, rng=make_rng(0))
     assert err < 1e-4
+
+
+def _depthwise_backward_per_tap(x, k, g):
+    """(gx, gk) of a zero-padded depthwise 3x3 from full-size per-tap products."""
+    xs, gs = T._items(x), T._items(g)
+    gx, gk = np.zeros_like(xs), np.zeros_like(k)
+    for di, dj, o, i in T._taps(*xs.shape[1:3]):
+        gk[di, dj] += (xs[i] * gs[o]).sum(axis=(0, 1, 2))
+        gx[i] += k[di, dj] * gs[o]
+    return gx.reshape(x.shape), gk
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lead=st.lists(st.integers(1, 3), max_size=2), h=st.integers(1, 6),
+       w=st.integers(1, 6), c=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_depthwise_backward_against_per_tap_formula(lead, h, w, c, seed):
+    rng = make_rng(seed)
+    shape = tuple(lead) + (h, w, c)
+    x = Parameter(rng.standard_normal(shape), "x")
+    k = Parameter(rng.standard_normal((3, 3, c)), "k")
+    g = rng.standard_normal(shape)
+    T.sum_(T.conv2d(x, k, "depthwise_3x3") * Tensor(g)).backward()
+    gx, gk = _depthwise_backward_per_tap(x.data, k.data, g)
+    assert np.max(np.abs(x.grad - gx)) < 1e-12
+    assert np.max(np.abs(k.grad - gk)) < 1e-12
 
 
 def rows_per_block(monkeypatch, rows, w, c):
@@ -553,6 +605,42 @@ def test_adam_matches_reference_trajectory():
     assert np.max(np.abs(p.data - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+def test_adam_is_the_allocating_formula_bit_for_bit(prec):
+    """Four steps against the formula written with temporaries; parameter b
+    gets a gradient only on the first and third step, and c is rank 0. The
+    parameters start far below the step size, so they keep every bit of it."""
+    dt = np.float32 if prec == "f32" else np.float64
+    rng = make_rng(29)
+    inits = [np.array(1e-4 * rng.standard_normal(shape), dt) for shape in ((5, 3), (7,), ())]
+    grads = [[rng.standard_normal(x.shape).astype(dt) for x in inits] for _ in range(4)]
+    with precision(prec):
+        params = [Parameter(x.copy(), name) for x, name in zip(inits, "abc")]
+        opt = Adam(params, lr=1e-2, beta1=0.9, beta2=0.99, eps=1e-8)
+        for t, gs in enumerate(grads):
+            params[0].grad = gs[0].copy()
+            params[1].grad = gs[1].copy() if t % 2 == 0 else None
+            params[2].grad = gs[2].copy()
+            opt.step()
+    refs = [x.copy() for x in inits]
+    ms = [np.zeros_like(x) for x in inits]
+    vs = [np.zeros_like(x) for x in inits]
+    for t, gs in enumerate(grads, start=1):
+        c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.99 ** t
+        for j, (p, m, v) in enumerate(zip(refs, ms, vs)):
+            g = gs[j] if j != 1 or t % 2 == 1 else np.zeros_like(p)
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.99
+            v += (1.0 - 0.99) * g * g
+            p -= 1e-2 * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+    for p, ref, m, v in zip(params, refs, ms, vs):
+        assert p.data.dtype == dt
+        assert p.data.tobytes() == ref.tobytes()
+        assert opt.m[p.name].tobytes() == m.tobytes()
+        assert opt.v[p.name].tobytes() == v.tobytes()
+
+
 def test_adam_duplicate_names_rejected():
     a = Parameter(np.ones(1), "w")
     b = Parameter(np.ones(1), "w")
@@ -629,6 +717,8 @@ def test_tsr_size_must_match_header(tmp_path):
         "short.tsr": (raw[:-3], "expects 74 bytes, found 71"),
         "header.tsr": (raw[:20], "needs 26 bytes, found 20"),
         "tagless.tsr": (raw[:9], "at least 10 bytes, found 9"),
+        "empty.tsr": (b"", "at least 10 bytes, found 0"),
+        "magic5.tsr": (raw[:5], "at least 10 bytes, found 5"),
     }
     for name, (data, message) in cases.items():
         path = tmp_path / name
