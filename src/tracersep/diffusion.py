@@ -2,7 +2,6 @@
 iteration, the conditional denoiser, and the latent reconstruction loss."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +124,9 @@ class Denoiser(T.Module):
         t = _check_step(t, cfg.steps)
         if t.shape not in ((), lead):
             raise ValueError(f"steps of shape {t.shape} for items of shape {lead}")
-        rows = math.prod(lead)
-        onehot = np.zeros((rows, cfg.steps))
-        onehot[np.arange(rows), np.broadcast_to(t, lead).reshape(-1) - 1] = 1.0
-        flat_in = T.reshape(latent_t, (rows, -1))
-        x = T.concat([flat_in, T.reshape(condition, (rows, -1)), Tensor(onehot)], axis=1)
+        onehot = np.eye(cfg.steps)[np.broadcast_to(t, lead) - 1]
+        flat_in = T.reshape(latent_t, lead + (-1,))
+        x = T.concat([flat_in, condition, Tensor(onehot)], axis=-1)
         x = T.gelu(T.linear(x, self.w1, self.b1))
         x = T.gelu(T.linear(x, self.w2, self.b2))
         x = T.linear(x, self.w3, self.b3) + flat_in * self.skip

@@ -75,9 +75,7 @@ class PriorEncoder(T.Module):
 
     def head(self, pooled: Tensor, i: int) -> Tensor:
         """Head i of pooled features (..., width): (..., d)."""
-        w, b = self.heads[i]
-        out = T.linear(T.reshape(pooled, (-1, pooled.data.shape[-1])), w, b)
-        return T.reshape(out, pooled.data.shape[:-1] + (-1,))
+        return T.linear(pooled, *self.heads[i])
 
 
 def extract_msp(dual: np.ndarray, singles: list[np.ndarray],
@@ -131,8 +129,7 @@ def modulate(m: Tensor, latent_flat: Tensor, params: ModulationParams) -> Tensor
     if params.w.data.shape[1] != 2 * c:
         raise ValueError(f"modulation for {params.w.data.shape[1] // 2} channels "
                          f"applied to {c}-channel features")
-    lead = latent_flat.data.shape[:-1]
-    rows = T.reshape(latent_flat, (-1, latent_flat.data.shape[-1]))
-    affine = T.reshape(T.linear(rows, params.w, params.b), lead + (1, 1, 2 * c))
+    affine = T.linear(latent_flat, params.w, params.b)
+    affine = T.reshape(affine, latent_flat.data.shape[:-1] + (1, 1, 2 * c))
     scale, shift = T.split(affine, 2)
     return scale * T.layer_norm(m, axis=-1) + shift

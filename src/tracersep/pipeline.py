@@ -114,9 +114,10 @@ def loss_tm(separated: list[Tensor], targets: list[np.ndarray],
     for pred, truth in zip(separated, targets):
         if pred.data.shape != truth.shape:
             raise ValueError(f"shape mismatch {pred.data.shape} vs {truth.shape}")
-        mask = image_mask(truth, texture_cfg.tau)
-        term = T.mean(T.abs_(pred - Tensor(truth)))
-        term = term + T.mean(T.abs_(pred * Tensor(mask) - Tensor(truth * mask)))
+        # mask is 0/1, so |diff * mask| is |pred * mask - truth * mask| bit for bit
+        diff = pred - Tensor(truth)
+        mask = Tensor(image_mask(truth, texture_cfg.tau))
+        term = T.mean(T.abs_(diff)) + T.mean(T.abs_(diff * mask))
         total = term if total is None else total + term
     return total
 

@@ -355,6 +355,8 @@ def abs_(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b over the last two axes, batched over the leading ones, for two
+    computed operands (attention); a dense layer is `linear`."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul expects rank >= 2 operands")
     out = _result(np.matmul(a.data, b.data), (a, b), "matmul")
@@ -651,7 +653,7 @@ def conv2d(x: Tensor, kernel: Tensor, mode: str, bias: Tensor | None = None) -> 
     if x.data.ndim < 3:
         raise ValueError(f"conv2d expects (..., H, W, C) maps, got shape {x.data.shape}")
     if mode == "pointwise_1x1":
-        out = _conv_pointwise(x, kernel)
+        out = _dense(x, kernel, None, "conv1x1")
     elif mode == "depthwise_3x3":
         out = _conv_depthwise(x, kernel)
     elif mode == "full_3x3":
@@ -688,22 +690,6 @@ def _taps(h: int, w: int, r0: int = 0, r1: int | None = None):
 def _items(x: np.ndarray) -> np.ndarray:
     """(..., H, W, C) as (N, H, W, C), the leading axes flattened into N."""
     return x.reshape((-1,) + x.shape[-3:])
-
-
-def _conv_pointwise(x: Tensor, k: Tensor) -> Tensor:
-    ci = x.data.shape[-1]
-    if k.data.shape[0] != ci:
-        raise ValueError(f"pointwise kernel {k.data.shape} vs input channels {ci}")
-    y = x.data.reshape(-1, ci) @ k.data
-    out = _result(y.reshape(x.data.shape[:-1] + (-1,)), (x, k), "conv1x1")
-    if out.requires_grad:
-        def backward():
-            g = out.grad.reshape(-1, out.grad.shape[-1])
-            if x.requires_grad:
-                _accum(x, (g @ k.data.T).reshape(x.data.shape))
-            _accum(k, x.data.reshape(-1, ci).T @ g)
-        out._backward = backward
-    return out
 
 
 def _conv_depthwise(x: Tensor, k: Tensor) -> Tensor:
@@ -782,12 +768,33 @@ def _conv_full3x3(x: Tensor, k: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """y = x @ W (+ b)."""
-    if x.data.shape[-1] != weight.data.shape[0]:
-        raise ValueError(f"linear: {x.data.shape} @ {weight.data.shape}")
-    out = matmul(x, weight)
+    """y = x @ W (+ b) for x (..., in): every leading axis, or none, is a row."""
+    return _dense(x, weight, bias, "linear")
+
+
+def _dense(x: Tensor, w: Tensor, bias: Tensor | None, op: str) -> Tensor:
+    """x @ w (+ bias) over x's last axis, x's leading axes flattened into rows.
+
+    The one dense kernel, under `linear` and the pointwise convolution: one
+    GEMM over the rows, with the bias added in place.
+    """
+    if x.data.ndim < 1 or w.data.ndim != 2 or w.data.shape[0] != x.data.shape[-1]:
+        raise ValueError(f"{op}: input {x.data.shape} vs weight {w.data.shape}")
+    rows = x.data.reshape(-1, w.data.shape[0])
+    y = rows @ w.data
     if bias is not None:
-        out = add(out, bias)
+        y += bias.data
+    prev = (x, w) if bias is None else (x, w, bias)
+    out = _result(y.reshape(x.data.shape[:-1] + (-1,)), prev, op)
+    if out.requires_grad:
+        def backward():
+            g = out.grad.reshape(-1, out.grad.shape[-1])
+            if x.requires_grad:
+                _accum(x, (g @ w.data.T).reshape(x.data.shape))
+            _accum(w, rows.T @ g)
+            if bias is not None:
+                _accum(bias, _unbroadcast(g, bias.data.shape))
+        out._backward = backward
     return out
 
 
@@ -861,23 +868,14 @@ class Adam:
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for p in self.params:
-            g, m, v = p.grad, self.m[p.name], self.v[p.name]
-            # in place, in the order of m = b1 m + (1 - b1) g, v = b2 v +
-            # (1 - b2) g g, p -= lr (m / c1) / (sqrt(v / c2) + eps); a missing
-            # gradient counts as zero
-            s, d = np.empty_like(p.data), np.empty_like(p.data)
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m = self.m[p.name]
+            v = self.v[p.name]
             m *= self.beta1
+            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            if g is not None:
-                m += np.multiply(g, 1.0 - self.beta1, out=s)
-                np.multiply(g, 1.0 - self.beta2, out=s)
-                v += np.multiply(s, g, out=s)
-            np.divide(m, c1, out=s)
-            s *= self.lr
-            np.divide(v, c2, out=d)
-            np.sqrt(d, out=d)
-            d += self.eps
-            p.data -= np.divide(s, d, out=s)
+            v += (1.0 - self.beta2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 def _unfilled_param(shape, name: str) -> Parameter:

@@ -4,10 +4,15 @@ Every op and model function that takes (..., H, W, C) maps, or latents with
 leading axes, must give for a batch what it gives for each item on its own:
 the same outputs, the same input gradients, and parameter gradients that are
 the sum of the items' ones. All in f64.
+
+Outputs and input gradients are compared entry by entry. A parameter
+gradient is a sum over the items, and the batch and the items add its terms
+in different orders, so it is compared normwise: an entry near zero may
+carry the rounding of the gradient's largest entries.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracersep import tensor as T
@@ -33,7 +38,8 @@ def check_batched(f, arrays, params, lead, consts=()):
 
     Every array becomes a trainable input; the arrays in consts are passed
     after them as they are. Checks the output, each input's gradient and each
-    parameter's gradient under a random linear probe.
+    parameter's gradient under a random linear probe; the parameter
+    gradients within 1e-12 of max(1, their largest entry).
     """
     for p in params:
         p.grad = None
@@ -53,7 +59,8 @@ def check_batched(f, arrays, params, lead, consts=()):
         for g, item in zip(grads, items):
             np.testing.assert_allclose(g[idx], item.grad, **TOL)
     for g, p in zip(param_grads, params):  # the items' gradients, summed
-        np.testing.assert_allclose(g, p.grad, **TOL)
+        scale = max(1.0, float(np.max(np.abs(p.grad))))
+        assert np.max(np.abs(g - p.grad)) <= TOL["atol"] * scale, p.name
 
 
 leads = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple)
@@ -83,6 +90,18 @@ def test_conv2d_batch_matches_items(mode, spec, co):
              "full_3x3": (3, 3, c, co)}[mode]
     k = Parameter(make_rng(seed + 1).standard_normal(shape), "k")
     check_batched(lambda x: T.conv2d(x, k, mode), [random_map(*spec)], [k], lead)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lead=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+       ci=st.integers(1, 4), co=st.integers(1, 3))
+def test_linear_batch_matches_rows(seed, lead, ci, co):
+    # no leading axis at all compares a 1-D input with itself
+    rng = make_rng(seed)
+    w = Parameter(rng.standard_normal((ci, co)), "w")
+    b = Parameter(rng.standard_normal(co), "b")
+    check_batched(lambda x: T.linear(x, w, b), [rng.standard_normal(lead + (ci,))], [w, b],
+                  lead)
 
 
 @settings(max_examples=25, deadline=None)
@@ -135,6 +154,7 @@ def test_split_batch_matches_items(spec):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
+@example(seed=1998, n=2)  # attn.qkv_dw's gradient differs by 4e-12 relative in one entry
 def test_transformer_block_batch_matches_items(seed, n):
     # covers modulate, the heads view, channel attention, mdta and gdfn
     blk = BlockParams(4, 2, 6, 2.0, make_rng(seed), "blk")

@@ -373,23 +373,31 @@ def test_conv_shape_errors():
         T.conv2d(x, Tensor(np.zeros((3, 3, 3))), "banana")
 
 
+def _linear_oracle(x, w, b):
+    want = np.zeros(x.shape[:-1] + w.shape[1:])
+    for row in np.ndindex(*x.shape[:-1]):
+        for o in range(w.shape[1]):
+            want[row + (o,)] = b[o]
+            for c in range(w.shape[0]):
+                want[row + (o,)] += x[row + (c,)] * w[c, o]
+    return want
+
+
 def test_linear_examples():
     rng = make_rng(13)
-    x = rng.standard_normal((3, 4))
     w = rng.standard_normal((4, 2))
     b = rng.standard_normal(2)
-    got = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
-    want = np.zeros((3, 2))
-    for i in range(3):
-        for o in range(2):
-            want[i, o] = b[o]
-            for c in range(4):
-                want[i, o] += x[i, c] * w[c, o]
-    assert np.max(np.abs(got - want)) < 1e-12
-    ident = T.linear(Tensor(x), Tensor(np.eye(4)), Tensor(np.zeros(4))).data
-    assert np.array_equal(ident, x)
+    for shape in ((3, 4), (4,), (2, 3, 4)):  # rows, one vector, two leading axes
+        x = rng.standard_normal(shape)
+        got = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        assert got.shape == shape[:-1] + (2,)
+        assert np.max(np.abs(got - _linear_oracle(x, w, b))) < 1e-12
+        ident = T.linear(Tensor(x), Tensor(np.eye(4)), Tensor(np.zeros(4))).data
+        assert np.array_equal(ident, x)
+        with pytest.raises(ValueError):
+            T.linear(Tensor(x), Tensor(np.zeros((3, 2))))
     with pytest.raises(ValueError):
-        T.linear(Tensor(x), Tensor(np.zeros((3, 2))))
+        T.linear(Tensor(x), Tensor(np.zeros(4)))
 
 
 def test_grad_check_quadratic():
@@ -479,17 +487,21 @@ def test_split_views_and_errors():
         T.split(x, 0)
 
 
-@pytest.mark.parametrize("op", ["pointwise_1x1", "depthwise_3x3", "full_3x3", "matmul"])
+@pytest.mark.parametrize("op", ["pointwise_1x1", "depthwise_3x3", "full_3x3", "matmul",
+                                "linear"])
 def test_backward_skips_the_gradient_of_an_input_that_needs_none(op):
     rng = make_rng(zlib.crc32(op.encode()))
     shapes = {"pointwise_1x1": ((4, 5, 3), (3, 2)), "depthwise_3x3": ((4, 5, 3), (3, 3, 3)),
-              "full_3x3": ((4, 5, 3), (3, 3, 3, 2)), "matmul": ((4, 3), (3, 2))}
+              "full_3x3": ((4, 5, 3), (3, 3, 3, 2)), "matmul": ((4, 3), (3, 2)),
+              "linear": ((2, 4, 3), (3, 2))}
     xs, ks = shapes[op]
     x_data, k_data = rng.standard_normal(xs), rng.standard_normal(ks)
+    bias = Tensor(rng.standard_normal(ks[-1]))
+    calls = {"matmul": T.matmul, "linear": lambda x, k: T.linear(x, k, bias)}
 
     def grads(x):
         k = Parameter(k_data, "k")
-        y = T.matmul(x, k) if op == "matmul" else T.conv2d(x, k, op)
+        y = calls[op](x, k) if op in calls else T.conv2d(x, k, op)
         probe = np.linspace(-1.0, 1.0, y.data.size).reshape(y.data.shape)
         T.sum_(y * Tensor(probe)).backward()
         return k.grad
