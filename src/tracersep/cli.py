@@ -203,6 +203,11 @@ def cmd_lbp(args, argv) -> int:
     return 0
 
 
+# run_sweep_tau separates the corpus this many images at a time, so that its
+# peak memory (every image's U-net activations) does not grow with the corpus
+SWEEP_CHUNK = 16
+
+
 def run_sweep_tau(ckpt_dir, corpus_dir, taus: list[int], seed: int = 0):
     """Per-tau corpus separation + evaluation; returns aggregate rows."""
     for tau in taus:
@@ -214,9 +219,13 @@ def run_sweep_tau(ckpt_dir, corpus_dir, taus: list[int], seed: int = 0):
     codes = lbp_map(duals)  # tau only thresholds the codes
     results = []
     for tau in taus:
-        fused, _, _ = separate(duals, model, seed=seed, tau=tau)  # image idx: seed + idx
-        metric_rows = [evaluate_pair(pred[idx], pair, k, f"p{idx:04d}")
-                       for idx, pair in enumerate(pairs) for k, pred in enumerate(fused)]
+        metric_rows = []
+        for start in range(0, len(pairs), SWEEP_CHUNK):
+            chunk = slice(start, start + SWEEP_CHUNK)
+            # image idx starts its rollout from seed + idx, whatever its chunk
+            fused, _, _ = separate(duals[chunk], model, seed=seed + start, tau=tau)
+            metric_rows += [evaluate_pair(pred[i], pair, k, f"p{start + i:04d}")
+                            for i, pair in enumerate(pairs[chunk]) for k, pred in enumerate(fused)]
         finite_psnr = [r.psnr_db for r in metric_rows if math.isfinite(r.psnr_db)]
         results.append({
             "tau": tau,

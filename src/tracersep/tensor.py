@@ -28,8 +28,8 @@ TSR_MAGIC = b"MSCDTTSR"
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
-# Elementwise kernels sweep a large map in pieces of at most this many bytes,
-# small enough that a piece and its scratch stay in a core's L2 cache.
+# The f32 gelu sweeps a large map in pieces of at most this many bytes, small
+# enough that a piece and its f64 scratch stay in a core's L2 cache.
 _BLOCK_BYTES = 1 << 18
 
 # Phi(x) - 1/2 ~ x * p(x^2) / q(x^2) on [-4 sqrt2, 4 sqrt2], Phi the Gaussian
@@ -665,25 +665,22 @@ def conv2d(x: Tensor, kernel: Tensor, mode: str, bias: Tensor | None = None) -> 
     return out
 
 
-def _taps(h: int, w: int, r0: int = 0, r1: int | None = None):
+def _taps(h: int, w: int):
     """Yield (di, dj, out window, in window) for the 9 taps of a zero-padded 3x3.
 
     Output (i, j) reads input (i + di - 1, j + dj - 1). Reads outside the
     h x w input would see zeros, so the windows leave them out and no padded
-    copy is made. Only output rows r0 <= i < r1 (default all) are covered.
-    A window indexes the (H, W) axes of an (N, H, W, C) array: every item of
-    the leading axis is covered.
+    copy is made. A window indexes the (H, W) axes of an (N, H, W, C) array:
+    every item of the leading axis is covered.
     """
-    r1 = h if r1 is None else r1
-
-    def spans(lo, hi, n, d):
-        start, stop = max(lo, 1 - d), min(hi, n + 1 - d)
+    def spans(n, d):
+        start, stop = max(0, 1 - d), min(n, n + 1 - d)
         return slice(start, stop), slice(start + d - 1, stop + d - 1)
 
     for di in range(3):
-        rows_out, rows_in = spans(r0, r1, h, di)
+        rows_out, rows_in = spans(h, di)
         for dj in range(3):
-            cols_out, cols_in = spans(0, w, w, dj)
+            cols_out, cols_in = spans(w, dj)
             yield di, dj, (slice(None), rows_out, cols_out), (slice(None), rows_in, cols_in)
 
 
@@ -692,50 +689,39 @@ def _items(x: np.ndarray) -> np.ndarray:
     return x.reshape((-1,) + x.shape[-3:])
 
 
+def _windows(xs: np.ndarray) -> np.ndarray:
+    """(N, H, W, C) as the (N, H, W, C, 3, 3) windows of a zero-padded 3x3.
+
+    Window [n, i, j, c] holds input (i + di - 1, j + dj - 1) of item n and
+    channel c at [di, dj], and 0 outside the map. It is a strided view of a
+    zero-padded (N, H + 2, W + 2, C) copy, the one array it allocates.
+    """
+    n, h, w, c = xs.shape
+    padded = np.zeros((n, h + 2, w + 2, c), xs.dtype)
+    padded[:, 1:-1, 1:-1] = xs
+    return np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+
+
 def _conv_depthwise(x: Tensor, k: Tensor) -> Tensor:
     xs = _items(x.data)
-    n, h, w, c = xs.shape
+    c = xs.shape[3]
     if k.data.shape != (3, 3, c):
         raise ValueError(f"depthwise kernel {k.data.shape} vs input channels {c}")
-    # blocks of _BLOCK_BYTES, whole maps when one fits, else rows of one map:
-    # the centre tap writes a block, then each other tap multiplies into one
-    # scratch block and adds it in
-    y = np.empty_like(xs)
-    rows = _rows_per_block(w * c * xs.itemsize)
-    if rows >= h:
-        step = rows // h
-        blocks = [(slice(i, i + step), 0, h) for i in range(0, n, step)]
-    else:
-        blocks = [(slice(i, i + 1), r0, min(h, r0 + rows))
-                  for i in range(n) for r0 in range(0, h, rows)]
-    scratch = np.empty(min(rows, n * h) * w * c, dtype=xs.dtype)
-    for items, r0, r1 in blocks:
-        xb, yb = xs[items], y[items]
-        np.multiply(xb[:, r0:r1], k.data[1, 1], out=yb[:, r0:r1])
-        for di, dj, o, i in _taps(h, w, r0, r1):
-            part = yb[o]
-            if (di, dj) == (1, 1) or not part.size:
-                continue
-            prod = scratch[:part.size].reshape(part.shape)
-            np.multiply(xb[i], k.data[di, dj], out=prod)
-            np.add(part, prod, out=part)
+    # one multiply-accumulate pass over the windows, not a ufunc pass per tap
+    y = np.einsum("nhwcij,ijc->nhwc", _windows(xs), k.data)
     out = _result(y.reshape(x.data.shape), (x, k), "conv_dw3x3")
     if out.requires_grad:
         def backward():
-            # one contraction per tap for gk; gx adds each tap's product, made
-            # in one scratch buffer, in _taps order, on which its bits depend
+            # x's gradient is the same zero-padded correlation of the output
+            # gradient with the flipped kernel; xs is padded again here rather
+            # than kept padded, so the graph holds no copy of it
             g = _items(out.grad)
             gx, gk = _grad(x), _grad(k)
-            gxs = None if gx is None else _items(gx)
-            scratch = None if gx is None else np.empty(gx.size, gx.dtype)
-            for di, dj, o, i in _taps(h, w):
-                if gk is not None:
-                    gk[di, dj] += np.einsum("nhwc,nhwc->c", xs[i], g[o])
-                if gxs is not None:
-                    part = gxs[i]
-                    prod = scratch[:part.size].reshape(part.shape)
-                    np.multiply(g[o], k.data[di, dj], out=prod)
-                    np.add(part, prod, out=part)
+            if gk is not None:
+                gk += np.einsum("nhwcij,nhwc->ijc", _windows(xs), g)
+            if gx is not None:
+                flipped = k.data[::-1, ::-1]
+                gx += np.einsum("nhwcij,ijc->nhwc", _windows(g), flipped).reshape(gx.shape)
         out._backward = backward
     return out
 

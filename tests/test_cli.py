@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tracersep import cli
 from tracersep import tensor as T
 from tracersep.cli import (dispatch, evaluate_predictions, run_sweep_tau, write_pgm8,
                            write_pgm16)
@@ -292,8 +293,7 @@ def _sweep_reference(model, pairs, taus, seed):
     return rows
 
 
-def test_sweep_tau_rows_match_a_per_image_loop(tmp_path):
-    taus = [0, 120, 180, 255]
+def _check_sweep_against_per_image_loop(tmp_path, seeds, taus):
     with T.precision("f64"):
         model = SeparationModel(ModelConfig(**TINY["model"]))
         # give the latent path weight, so that each image's seed matters
@@ -301,9 +301,28 @@ def test_sweep_tau_rows_match_a_per_image_loop(tmp_path):
             for blk in blocks:
                 blk.mod1.w.data[:] = 0.1 * make_rng(8).standard_normal(blk.mod1.w.data.shape)
         save_checkpoint(model, tmp_path / "ckpt")
-        pairs = save_corpus(tmp_path / "corpus", [3, 4, 5], PhantomSpec(size=8))
+        pairs = save_corpus(tmp_path / "corpus", seeds, PhantomSpec(size=8))
         rows = run_sweep_tau(tmp_path / "ckpt", tmp_path / "corpus", taus, seed=2)
         want = _sweep_reference(model, pairs, taus, seed=2)
     assert [r["tau"] for r in rows] == taus
     for got, ref in zip(rows, want):
         assert got == pytest.approx(ref, rel=1e-10, abs=1e-10)
+
+
+def test_sweep_tau_rows_match_a_per_image_loop(tmp_path):
+    _check_sweep_against_per_image_loop(tmp_path, [3, 4, 5], [0, 120, 180, 255])
+
+
+def test_sweep_tau_separates_the_corpus_in_chunks(tmp_path, monkeypatch):
+    # 5 images in chunks of 2: the last chunk is short, and each image must
+    # still start its rollout from seed + its corpus index
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", 2)
+    sizes = []
+
+    def recording_separate(dual, *args, **kwargs):
+        sizes.append(len(dual))
+        return separate(dual, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "separate", recording_separate)
+    _check_sweep_against_per_image_loop(tmp_path, [3, 4, 5, 6, 7], [120, 180])
+    assert sizes == [2, 2, 1] * 2

@@ -1,6 +1,7 @@
 """Autograd core: op oracles, gradient checks, optimizer, serialization."""
 import hashlib
 import math
+import tracemalloc
 import zlib
 from dataclasses import dataclass
 
@@ -330,6 +331,61 @@ def test_depthwise_backward_against_per_tap_formula(lead, h, w, c, seed):
     gx, gk = _depthwise_backward_per_tap(x.data, k.data, g)
     assert np.max(np.abs(x.grad - gx)) < 1e-12
     assert np.max(np.abs(k.grad - gk)) < 1e-12
+
+
+def _depthwise_forward_per_tap(x, k):
+    """A zero-padded depthwise 3x3 from full-size per-tap products."""
+    xs = T._items(x)
+    y = np.zeros_like(xs)
+    for di, dj, o, i in T._taps(*xs.shape[1:3]):
+        y[o] += xs[i] * k[di, dj]
+    return y.reshape(x.shape)
+
+
+@pytest.mark.parametrize("shape", [(1, 8, 8, 1536), (1, 16, 16, 144), (4, 16, 16, 128)])
+def test_f32_depthwise_at_model_widths_against_f64_per_tap_formula(shape):
+    # The f64 formulas run on the same f32 values, so the difference is the
+    # rounding of the f32 kernel. Each output entry is a sum of m products: the
+    # 9 taps for y and x.grad, the N*H*W positions for k.grad. In any order of
+    # summation, with or without fused multiply-adds, rounding moves such a sum
+    # by at most gamma_m * sum|terms|, gamma_m = m*u / (1 - m*u) (Higham,
+    # "Accuracy and Stability of Numerical Algorithms", section 3.1); u is f32's
+    # unit roundoff 2**-24, plus f64's 2**-53 for the reference's own rounding.
+    # sum|terms| is the same formula on |x|, |k| and |g|, entry by entry.
+    rng = make_rng(shape[-1])
+    with precision("f32"):
+        x = Parameter(rng.standard_normal(shape), "x")
+        k = Parameter(rng.standard_normal((3, 3, shape[-1])), "k")
+        g = Tensor(rng.standard_normal(shape))
+        y = T.conv2d(x, k, "depthwise_3x3")
+        T.sum_(y * g).backward()
+    assert y.data.dtype == x.grad.dtype == k.grad.dtype == np.float32
+    x64, k64, g64 = (a.astype(np.float64) for a in (x.data, k.data, g.data))
+    abs64 = [np.abs(a) for a in (x64, k64, g64)]
+    refs = [(_depthwise_forward_per_tap(x64, k64), _depthwise_forward_per_tap(*abs64[:2])),
+            *zip(_depthwise_backward_per_tap(x64, k64, g64), _depthwise_backward_per_tap(*abs64))]
+    u = 2.0 ** -24 + 2.0 ** -53
+    for got, (ref, ref_abs), m in zip((y.data, x.grad, k.grad), refs, (9, 9, math.prod(shape[:3]))):
+        gamma = m * u / (1 - m * u)
+        assert np.all(np.abs(got - ref) <= gamma * ref_abs)
+
+
+def test_depthwise_graph_holds_no_padded_copy():
+    # tracemalloc sees numpy's allocations. A recording node keeps its output;
+    # a padded copy of x (2.37 MB here, against 2.10 MB of output) must not
+    # outlive the forward, since the backward pads x again.
+    rng = make_rng(43)
+    x = Parameter(rng.standard_normal((4, 32, 32, 64)), "x")
+    k = Parameter(rng.standard_normal((3, 3, 64)), "k")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = T.conv2d(x, k, "depthwise_3x3")
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad and y._backward is not None
+    assert held <= y.data.nbytes + (64 << 10)
 
 
 def rows_per_block(monkeypatch, rows, w, c):
