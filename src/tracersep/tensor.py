@@ -665,25 +665,6 @@ def conv2d(x: Tensor, kernel: Tensor, mode: str, bias: Tensor | None = None) -> 
     return out
 
 
-def _taps(h: int, w: int):
-    """Yield (di, dj, out window, in window) for the 9 taps of a zero-padded 3x3.
-
-    Output (i, j) reads input (i + di - 1, j + dj - 1). Reads outside the
-    h x w input would see zeros, so the windows leave them out and no padded
-    copy is made. A window indexes the (H, W) axes of an (N, H, W, C) array:
-    every item of the leading axis is covered.
-    """
-    def spans(n, d):
-        start, stop = max(0, 1 - d), min(n, n + 1 - d)
-        return slice(start, stop), slice(start + d - 1, stop + d - 1)
-
-    for di in range(3):
-        rows_out, rows_in = spans(h, di)
-        for dj in range(3):
-            cols_out, cols_in = spans(w, dj)
-            yield di, dj, (slice(None), rows_out, cols_out), (slice(None), rows_in, cols_in)
-
-
 def _items(x: np.ndarray) -> np.ndarray:
     """(..., H, W, C) as (N, H, W, C), the leading axes flattened into N."""
     return x.reshape((-1,) + x.shape[-3:])
@@ -726,29 +707,34 @@ def _conv_depthwise(x: Tensor, k: Tensor) -> Tensor:
     return out
 
 
+def _cols(xs: np.ndarray) -> np.ndarray:
+    """(N, H, W, C) as the (N*H*W, 9*C) rows of its _windows, tap-major:
+    column (3*di + dj)*C + c of a row holds window entry [c, di, dj]. This is
+    the one im2col copy of a full 3x3 pass."""
+    return _windows(xs).transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * xs.shape[3])
+
+
 def _conv_full3x3(x: Tensor, k: Tensor) -> Tensor:
     xs = _items(x.data)
-    n, h, w, ci = xs.shape
+    ci = xs.shape[3]
     if k.data.shape[:3] != (3, 3, ci):
         raise ValueError(f"3x3 kernel {k.data.shape} vs input channels {ci}")
     co = k.data.shape[3]
-    y = np.zeros((n, h, w, co), dtype=xs.dtype)
-    for di, dj, o, i in _taps(h, w):
-        win = xs[i]
-        y[o] += (win.reshape(-1, ci) @ k.data[di, dj]).reshape(win.shape[:3] + (co,))
+    # one GEMM over the window rows, not a matmul per tap
+    y = _cols(xs) @ k.data.reshape(9 * ci, co)
     out = _result(y.reshape(x.data.shape[:-1] + (co,)), (x, k), "conv3x3")
     if out.requires_grad:
         def backward():
-            gout = _items(out.grad)
+            # as in _conv_depthwise: x's gradient correlates the output
+            # gradient with the flipped kernel, and the rows are built again
+            # here rather than kept, so the graph holds no 9x copy of xs
+            g = _items(out.grad)
             gx, gk = _grad(x), _grad(k)
-            gxs = None if gx is None else _items(gx)
-            for di, dj, o, i in _taps(h, w):
-                win = xs[i]
-                g = gout[o].reshape(-1, co)
-                if gk is not None:
-                    gk[di, dj] += win.reshape(-1, ci).T @ g
-                if gxs is not None:
-                    gxs[i] += (g @ k.data[di, dj].T).reshape(win.shape)
+            if gk is not None:
+                gk += (_cols(xs).T @ g.reshape(-1, co)).reshape(gk.shape)
+            if gx is not None:
+                flipped = k.data[::-1, ::-1].swapaxes(2, 3).reshape(9 * co, ci)
+                gx += (_cols(g) @ flipped).reshape(gx.shape)
         out._backward = backward
     return out
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -307,80 +307,113 @@ def test_conv3x3_property_zero_padded(h, w, ci, co, seed):
     assert err < 1e-4
 
 
-def _depthwise_backward_per_tap(x, k, g):
-    """(gx, gk) of a zero-padded depthwise 3x3 from full-size per-tap products."""
+def _taps(h, w):
+    """Yield (di, dj, out window, in window) for the 9 taps of a zero-padded 3x3.
+
+    Output (i, j) reads input (i + di - 1, j + dj - 1). Reads outside the
+    h x w input would see zeros, so the windows leave them out and no padded
+    copy is made. A window indexes the (H, W) axes of an (N, H, W, C) array:
+    every item of the leading axis is covered.
+    """
+    def spans(n, d):
+        start, stop = max(0, 1 - d), min(n, n + 1 - d)
+        return slice(start, stop), slice(start + d - 1, stop + d - 1)
+
+    for di in range(3):
+        rows_out, rows_in = spans(h, di)
+        for dj in range(3):
+            cols_out, cols_in = spans(w, dj)
+            yield di, dj, (slice(None), rows_out, cols_out), (slice(None), rows_in, cols_in)
+
+
+def _mode(k):
+    return "full_3x3" if k.ndim == 4 else "depthwise_3x3"
+
+
+def _per_tap_3x3(x, k, g):
+    """(y, gx, gk) of a zero-padded 3x3 conv from full-size per-tap products:
+    depthwise for a (3, 3, C) kernel k, full for a (3, 3, Cin, Cout) one, g
+    the gradient of y."""
     xs, gs = T._items(x), T._items(g)
-    gx, gk = np.zeros_like(xs), np.zeros_like(k)
-    for di, dj, o, i in T._taps(*xs.shape[1:3]):
-        gk[di, dj] += (xs[i] * gs[o]).sum(axis=(0, 1, 2))
-        gx[i] += k[di, dj] * gs[o]
-    return gx.reshape(x.shape), gk
+    full = k.ndim == 4
+    y, gx, gk = np.zeros(gs.shape), np.zeros_like(xs), np.zeros_like(k)
+    for di, dj, o, i in _taps(*xs.shape[1:3]):
+        if full:
+            y[o] += xs[i] @ k[di, dj]
+            gk[di, dj] += np.tensordot(xs[i], gs[o], axes=([0, 1, 2], [0, 1, 2]))
+            gx[i] += gs[o] @ k[di, dj].T
+        else:
+            y[o] += xs[i] * k[di, dj]
+            gk[di, dj] += (xs[i] * gs[o]).sum(axis=(0, 1, 2))
+            gx[i] += k[di, dj] * gs[o]
+    return y.reshape(g.shape), gx.reshape(x.shape), gk
 
 
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lead=st.lists(st.integers(1, 3), max_size=2), h=st.integers(1, 6),
-       w=st.integers(1, 6), c=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_depthwise_backward_against_per_tap_formula(lead, h, w, c, seed):
+       w=st.integers(1, 6), ci=st.integers(1, 4), co=st.integers(1, 4),
+       full=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_3x3_backward_against_per_tap_formula(lead, h, w, ci, co, full, seed):
     rng = make_rng(seed)
-    shape = tuple(lead) + (h, w, c)
+    shape = tuple(lead) + (h, w, ci)
+    kshape = (3, 3, ci, co) if full else (3, 3, ci)
     x = Parameter(rng.standard_normal(shape), "x")
-    k = Parameter(rng.standard_normal((3, 3, c)), "k")
-    g = rng.standard_normal(shape)
-    T.sum_(T.conv2d(x, k, "depthwise_3x3") * Tensor(g)).backward()
-    gx, gk = _depthwise_backward_per_tap(x.data, k.data, g)
-    assert np.max(np.abs(x.grad - gx)) < 1e-12
-    assert np.max(np.abs(k.grad - gk)) < 1e-12
+    k = Parameter(rng.standard_normal(kshape), "k")
+    g = rng.standard_normal(shape[:-1] + kshape[-1:])
+    y = T.conv2d(x, k, _mode(k.data))
+    T.sum_(y * Tensor(g)).backward()
+    for got, want in zip((y.data, x.grad, k.grad), _per_tap_3x3(x.data, k.data, g)):
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
-def _depthwise_forward_per_tap(x, k):
-    """A zero-padded depthwise 3x3 from full-size per-tap products."""
-    xs = T._items(x)
-    y = np.zeros_like(xs)
-    for di, dj, o, i in T._taps(*xs.shape[1:3]):
-        y[o] += xs[i] * k[di, dj]
-    return y.reshape(x.shape)
-
-
-@pytest.mark.parametrize("shape", [(1, 8, 8, 1536), (1, 16, 16, 144), (4, 16, 16, 128)])
-def test_f32_depthwise_at_model_widths_against_f64_per_tap_formula(shape):
+@pytest.mark.parametrize("shape, kshape", [
+    ((1, 8, 8, 1536), (3, 3, 1536)), ((1, 16, 16, 144), (3, 3, 144)),
+    ((4, 16, 16, 128), (3, 3, 128)), ((1, 64, 64, 48), (3, 3, 48, 2)),
+    ((1, 64, 64, 2), (3, 3, 2, 48)), ((1, 32, 32, 64), (3, 3, 64, 64)),
+    ((8, 16, 16, 8), (3, 3, 8, 32))], ids=lambda shape: "x".join(map(str, shape)))
+def test_f32_3x3_at_model_widths_against_f64_per_tap_formula(shape, kshape):
     # The f64 formulas run on the same f32 values, so the difference is the
-    # rounding of the f32 kernel. Each output entry is a sum of m products: the
-    # 9 taps for y and x.grad, the N*H*W positions for k.grad. In any order of
-    # summation, with or without fused multiply-adds, rounding moves such a sum
-    # by at most gamma_m * sum|terms|, gamma_m = m*u / (1 - m*u) (Higham,
-    # "Accuracy and Stability of Numerical Algorithms", section 3.1); u is f32's
-    # unit roundoff 2**-24, plus f64's 2**-53 for the reference's own rounding.
+    # rounding of the f32 kernel. Each output entry is a sum of m products:
+    # 9 taps times Cin for y and Cout for x.grad (1 and 1 for the depthwise
+    # conv), the N*H*W positions for k.grad. In any order of summation, with
+    # or without fused multiply-adds, rounding moves such a sum by at most
+    # gamma_m * sum|terms|, gamma_m = m*u / (1 - m*u) (Higham, "Accuracy and
+    # Stability of Numerical Algorithms", section 3.1); u is f32's unit
+    # roundoff 2**-24, plus f64's 2**-53 for the reference's own rounding.
     # sum|terms| is the same formula on |x|, |k| and |g|, entry by entry.
     rng = make_rng(shape[-1])
     with precision("f32"):
         x = Parameter(rng.standard_normal(shape), "x")
-        k = Parameter(rng.standard_normal((3, 3, shape[-1])), "k")
-        g = Tensor(rng.standard_normal(shape))
-        y = T.conv2d(x, k, "depthwise_3x3")
+        k = Parameter(rng.standard_normal(kshape), "k")
+        g = Tensor(rng.standard_normal(shape[:-1] + kshape[-1:]))
+        y = T.conv2d(x, k, _mode(k.data))
         T.sum_(y * g).backward()
     assert y.data.dtype == x.grad.dtype == k.grad.dtype == np.float32
     x64, k64, g64 = (a.astype(np.float64) for a in (x.data, k.data, g.data))
-    abs64 = [np.abs(a) for a in (x64, k64, g64)]
-    refs = [(_depthwise_forward_per_tap(x64, k64), _depthwise_forward_per_tap(*abs64[:2])),
-            *zip(_depthwise_backward_per_tap(x64, k64, g64), _depthwise_backward_per_tap(*abs64))]
+    refs = zip(_per_tap_3x3(x64, k64, g64), _per_tap_3x3(*(np.abs(a) for a in (x64, k64, g64))))
+    ci, co = kshape[2:] if len(kshape) == 4 else (1, 1)
     u = 2.0 ** -24 + 2.0 ** -53
-    for got, (ref, ref_abs), m in zip((y.data, x.grad, k.grad), refs, (9, 9, math.prod(shape[:3]))):
+    for got, (ref, ref_abs), m in zip((y.data, x.grad, k.grad), refs,
+                                      (9 * ci, 9 * co, math.prod(shape[:3]))):
         gamma = m * u / (1 - m * u)
         assert np.all(np.abs(got - ref) <= gamma * ref_abs)
 
 
-def test_depthwise_graph_holds_no_padded_copy():
+@pytest.mark.parametrize("kshape", [(3, 3, 64), (3, 3, 64, 64)],
+                         ids=["depthwise_3x3", "full_3x3"])
+def test_3x3_graph_holds_no_padded_copy(kshape):
     # tracemalloc sees numpy's allocations. A recording node keeps its output;
-    # a padded copy of x (2.37 MB here, against 2.10 MB of output) must not
-    # outlive the forward, since the backward pads x again.
+    # a padded copy of x (2.37 MB here, against 2.10 MB of output) or the full
+    # conv's window rows (18.9 MB) must not outlive the forward, since the
+    # backward builds them again.
     rng = make_rng(43)
     x = Parameter(rng.standard_normal((4, 32, 32, 64)), "x")
-    k = Parameter(rng.standard_normal((3, 3, 64)), "k")
+    k = Parameter(rng.standard_normal(kshape), "k")
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        y = T.conv2d(x, k, "depthwise_3x3")
+        y = T.conv2d(x, k, _mode(k.data))
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -388,35 +421,47 @@ def test_depthwise_graph_holds_no_padded_copy():
     assert held <= y.data.nbytes + (64 << 10)
 
 
-def rows_per_block(monkeypatch, rows, w, c):
-    # shrink the piece size so a small f64 map splits into blocks of `rows` rows
-    monkeypatch.setattr(T, "_BLOCK_BYTES", rows * w * c * 8)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(h=st.integers(1, 9), w=st.integers(1, 6), c=st.integers(1, 4),
-       rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-def test_blocked_depthwise_forward_against_oracle(monkeypatch, h, w, c, rows, seed):
-    rows_per_block(monkeypatch, rows, w, c)
-    assert T._rows_per_block(w * c * 8) == rows
+       co=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example(h=1, w=5, c=3, co=2, seed=0)
+@example(h=6, w=1, c=3, co=2, seed=1)
+@example(h=1, w=1, c=3, co=2, seed=2)
+@example(h=9, w=4, c=3, co=2, seed=3)
+def test_3x3_forward_against_oracle(h, w, c, co, seed):
+    # h = 1 and w = 1 leave taps whose whole window falls outside the input
     rng = make_rng(seed)
     x = rng.standard_normal((h, w, c))
-    k = rng.standard_normal((3, 3, c))
-    got = T.conv2d(Tensor(x), Tensor(k), "depthwise_3x3").data
-    assert np.max(np.abs(got - _conv_oracle_depthwise(x, k))) < 1e-12
+    kd = rng.standard_normal((3, 3, c))
+    kf = rng.standard_normal((3, 3, c, co))
+    got = T.conv2d(Tensor(x), Tensor(kd), "depthwise_3x3").data
+    assert np.max(np.abs(got - _conv_oracle_depthwise(x, kd))) < 1e-12
+    got = T.conv2d(Tensor(x), Tensor(kf), "full_3x3").data
+    assert np.max(np.abs(got - _conv_oracle_full(x, kf))) < 1e-12
 
 
-@pytest.mark.parametrize("h, w, rows", [(1, 5, 1), (1, 5, 3), (6, 1, 4), (1, 1, 1),
-                                        (7, 4, 3), (7, 4, 2), (8, 3, 5)])
-def test_blocked_depthwise_forward_edge_shapes(monkeypatch, h, w, rows):
-    # h = 1, w = 1, and h not a multiple of the rows per block (a short last block)
-    rows_per_block(monkeypatch, rows, w, 3)
-    rng = make_rng(h * 100 + w * 10 + rows)
-    x = rng.standard_normal((h, w, 3))
-    k = rng.standard_normal((3, 3, 3))
-    got = T.conv2d(Tensor(x), Tensor(k), "depthwise_3x3").data
-    assert np.max(np.abs(got - _conv_oracle_depthwise(x, k))) < 1e-12
+@pytest.mark.parametrize("h, w, rows", [(1, 5, 1), (1, 5, 3), (6, 1, 4), (1, 1, 1), (5, 1, 1),
+                                        (7, 4, 3), (7, 4, 2), (8, 3, 5), (16, 8, 3)])
+def test_f32_gelu_pieces_are_bytewise_one_piece(monkeypatch, h, w, rows):
+    # An (h, w, 3) map is h*w rows of 3 for _gelu_f32. Shrinking the piece to
+    # `rows` map rows splits it into pieces of rows*w rows: 1 row for w = 1,
+    # rows = 1, and a short last piece where rows does not divide h. y and
+    # x.grad must not depend on where the pieces end.
+    x = (3.0 * make_rng(h * 100 + w * 10 + rows).standard_normal((h, w, 3))).astype(np.float32)
+    probe = np.linspace(-1.0, 1.0, x.size, dtype=np.float32).reshape(x.shape)
+
+    def run():
+        p = Parameter(x, "x")
+        y = T.gelu(p)
+        T.sum_(y * Tensor(probe)).backward()
+        return y.data.tobytes() + p.grad.tobytes()
+
+    with precision("f32"):
+        whole = run()
+        monkeypatch.setattr(T, "_BLOCK_BYTES", rows * w * 3 * 8)
+        assert T._rows_per_block(3 * 8) == rows * w
+        assert run() == whole
 
 
 def test_conv_shape_errors():
