@@ -7,6 +7,15 @@ run-level switch and is never mixed inside one graph. Feature maps are
 work on the trailing three axes and treat any leading axes as a batch, so
 one graph carries a whole training batch. 3x3 convolutions are zero padded,
 so they keep H x W.
+
+Every op makes its output node through `_result`, handing it a closure
+backward(g). When the node records (grad mode on, some input needing a
+gradient), backward(g) receives the node's gradient g and adds into the
+gradient of each input that needs one; an input that needs none costs
+nothing. The closure refers to the op's inputs, never to its own node, so a
+graph holds no reference cycle. A 3x3 conv adds its bias inside its kernel,
+as the dense kernel under `linear` and the pointwise conv does, so a biased
+conv is one node.
 """
 from __future__ import annotations
 
@@ -46,32 +55,36 @@ _PHI_Q = (1.0, 0.24873322512508644, 0.028489653918644994, 0.0019327582135221326,
           8.172224317783526e-05, 1.9721092569905833e-06)
 
 
-def set_dtype(name: str) -> None:
+def _dtype(name: str):
     if name not in _DTYPES:
         raise ValueError(f"unknown dtype {name!r}, expected 'f32' or 'f64'")
-    _state["dtype"] = _DTYPES[name]
+    return _DTYPES[name]
+
+
+def set_dtype(name: str) -> None:
+    _state["dtype"] = _dtype(name)
+
+
+def _swap(key: str, value):
+    """Generator body of the context managers below: set _state[key] to
+    value, yield, and restore the old value however the block exits."""
+    old, _state[key] = _state[key], value
+    try:
+        yield
+    finally:
+        _state[key] = old
 
 
 @contextlib.contextmanager
 def precision(name: str):
     """Temporarily switch the default dtype ('f32' or 'f64')."""
-    old = _state["dtype"]
-    set_dtype(name)
-    try:
-        yield
-    finally:
-        _state["dtype"] = old
+    yield from _swap("dtype", _dtype(name))
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph recording (inference / metrics)."""
-    old = _state["grad"]
-    _state["grad"] = False
-    try:
-        yield
-    finally:
-        _state["grad"] = old
+    yield from _swap("grad", False)
 
 
 @contextlib.contextmanager
@@ -81,12 +94,7 @@ def unfilled():
     Inside, the parameter factories below allocate each array in the default
     dtype and neither draw from their generator nor write the array.
     """
-    old = _state["fill"]
-    _state["fill"] = False
-    try:
-        yield
-    finally:
-        _state["fill"] = old
+    yield from _swap("fill", False)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -108,7 +116,7 @@ class Tensor:
         self.requires_grad = False
         self.op = "leaf"
         self._prev: tuple = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
 
     @property
     def shape(self):
@@ -118,10 +126,8 @@ class Tensor:
         """Accumulate d(self)/d(x) into the grad of every x that needs one.
 
         The graph is used up: once a node has passed its gradient on, it drops
-        its backward closure (which refers back to the node) and its inputs.
-        A graph is then freed as soon as it is unreferenced, not at the next
-        cyclic garbage collection, and a second backward through it passes
-        nothing on.
+        its backward closure and its inputs, so a second backward through it
+        passes nothing on.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar")
@@ -130,7 +136,7 @@ class Tensor:
         while order:
             node = order.pop()
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
             node._backward, node._prev = None, ()
 
     # arithmetic sugar
@@ -216,18 +222,21 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return _result(np.asarray(x, dtype=dtype), (), "const")
 
 
-def _result(data: np.ndarray, prev: Sequence[Tensor], op: str) -> Tensor:
+def _result(data: np.ndarray, prev: Sequence[Tensor], op: str,
+            backward: Callable[[np.ndarray], None] | None = None) -> Tensor:
+    """The node of op's output data; every op makes its node here.
+
+    The node records, keeping prev and backward, when grad mode is on and an
+    input needs a gradient. backward(g) receives the node's gradient and adds
+    into the gradient of each input that needs one, and only of those.
+    """
     t = Tensor.__new__(Tensor)
     t.data = data
     t.grad = None
     t.op = op
-    if _state["grad"] and any(p.requires_grad for p in prev):
-        t.requires_grad = True
-        t._prev = tuple(prev)
-    else:
-        t.requires_grad = False
-        t._prev = ()
-    t._backward = None
+    t.requires_grad = _state["grad"] and any(p.requires_grad for p in prev)
+    t._prev = tuple(prev) if t.requires_grad else ()
+    t._backward = backward if t.requires_grad else None
     return t
 
 
@@ -251,23 +260,22 @@ def topological_order(root: Tensor) -> list[Tensor]:
     return topo
 
 
-def _grad(t: Tensor) -> np.ndarray | None:
-    """t's gradient buffer, zeroed on first use; None when t needs no gradient.
+def _grad(t: Tensor) -> np.ndarray:
+    """t's gradient buffer, zeroed on first use.
 
     Backward passes add into it, or into slices or reshaped views of it, in
     place; it is C-contiguous whatever the layout of t.data, so a reshape of
     it is always a view.
     """
-    if not t.requires_grad:
-        return None
     if t.grad is None:
         t.grad = np.zeros(t.data.shape, t.data.dtype)
     return t.grad
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
-    buf = _grad(t)
-    if buf is not None:
+    """Add g into t's gradient when t needs one."""
+    if t.requires_grad:
+        buf = _grad(t)
         buf += g
 
 
@@ -286,72 +294,52 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise and shape ops
 # ---------------------------------------------------------------------------
 
-def add(a, b) -> Tensor:
+# op -> (forward, gradient for a, gradient for b), the gradients of
+# g = d(loss)/d(out) before they are summed back to an operand's shape
+_BINARY = {
+    "add": (np.add, lambda g, a, b: g, lambda g, a, b: g),
+    "sub": (np.subtract, lambda g, a, b: g, lambda g, a, b: -g),
+    "mul": (np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a),
+    "div": (np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
+}
+
+
+def _binary(op: str, a, b) -> Tensor:
+    """The broadcasting kernel under add, sub, mul and div. A number operand
+    becomes a const in the dtype of the Tensor one."""
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
-    out = _result(a.data + b.data, (a, b), "add")
-    if out.requires_grad:
-        def backward():
-            _accum(a, _unbroadcast(out.grad, a.data.shape))
-            _accum(b, _unbroadcast(out.grad, b.data.shape))
-        out._backward = backward
-    return out
+    forward, grad_a, grad_b = _BINARY[op]
+
+    def backward(g):
+        for t, grad in ((a, grad_a), (b, grad_b)):
+            if t.requires_grad:
+                _accum(t, _unbroadcast(grad(g, a.data, b.data), t.data.shape))
+    return _result(forward(a.data, b.data), (a, b), op, backward)
+
+
+def add(a, b) -> Tensor:
+    return _binary("add", a, b)
 
 
 def sub(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    out = _result(a.data - b.data, (a, b), "sub")
-    if out.requires_grad:
-        def backward():
-            _accum(a, _unbroadcast(out.grad, a.data.shape))
-            _accum(b, _unbroadcast(-out.grad, b.data.shape))
-        out._backward = backward
-    return out
+    return _binary("sub", a, b)
 
 
 def mul(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    out = _result(a.data * b.data, (a, b), "mul")
-    if out.requires_grad:
-        def backward():
-            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
-        out._backward = backward
-    return out
+    return _binary("mul", a, b)
 
 
 def div(a, b) -> Tensor:
-    a = _as_tensor(a, b if isinstance(b, Tensor) else None)
-    b = _as_tensor(b, a)
-    out = _result(a.data / b.data, (a, b), "div")
-    if out.requires_grad:
-        def backward():
-            _accum(a, _unbroadcast(out.grad / b.data, a.data.shape))
-            _accum(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
-        out._backward = backward
-    return out
+    return _binary("div", a, b)
 
 
 def neg(a: Tensor) -> Tensor:
-    out = _result(-a.data, (a,), "neg")
-    if out.requires_grad:
-        def backward():
-            _accum(a, -out.grad)
-        out._backward = backward
-    return out
+    return _result(-a.data, (a,), "neg", lambda g: _accum(a, -g))
 
 
 def abs_(a: Tensor) -> Tensor:
-    out = _result(np.abs(a.data), (a,), "abs")
-    if out.requires_grad:
-        sign = np.sign(a.data)
-
-        def backward():
-            _accum(a, out.grad * sign)
-        out._backward = backward
-    return out
+    return _result(np.abs(a.data), (a,), "abs", lambda g: _accum(a, g * np.sign(a.data)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -359,17 +347,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     computed operands (attention); a dense layer is `linear`."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul expects rank >= 2 operands")
-    out = _result(np.matmul(a.data, b.data), (a, b), "matmul")
-    if out.requires_grad:
-        def backward():
-            if a.requires_grad:
-                ga = np.matmul(out.grad, b.data.swapaxes(-1, -2))
-                _accum(a, _unbroadcast(ga, a.data.shape))
-            if b.requires_grad:
-                gb = np.matmul(a.data.swapaxes(-1, -2), out.grad)
-                _accum(b, _unbroadcast(gb, b.data.shape))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.data.shape))
+    return _result(np.matmul(a.data, b.data), (a, b), "matmul", backward)
 
 
 def _norm_axes(axis, ndim) -> tuple:
@@ -380,67 +364,43 @@ def _norm_axes(axis, ndim) -> tuple:
     return tuple(ax % ndim for ax in axis)
 
 
+def _spread(g: np.ndarray, a: Tensor, axes: tuple, keepdims: bool) -> np.ndarray:
+    """A reduction's output gradient g broadcast back over a's shape."""
+    return np.broadcast_to(g if keepdims else np.expand_dims(g, axes), a.data.shape)
+
+
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.data.ndim)
-    out = _result(a.data.sum(axis=axes, keepdims=keepdims), (a,), "sum")
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            if not keepdims:
-                for ax in sorted(axes):
-                    g = np.expand_dims(g, ax)
-            _accum(a, np.broadcast_to(g, a.data.shape))
-        out._backward = backward
-    return out
+    return _result(a.data.sum(axis=axes, keepdims=keepdims), (a,), "sum",
+                   lambda g: _accum(a, _spread(g, a, axes, keepdims)))
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.data.ndim)
     count = int(np.prod([a.data.shape[ax] for ax in axes])) if axes else 1
-    out = _result(a.data.mean(axis=axes, keepdims=keepdims), (a,), "mean")
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            if not keepdims:
-                for ax in sorted(axes):
-                    g = np.expand_dims(g, ax)
-            _accum(a, np.broadcast_to(g, a.data.shape) / count)
-        out._backward = backward
-    return out
+    return _result(a.data.mean(axis=axes, keepdims=keepdims), (a,), "mean",
+                   lambda g: _accum(a, _spread(g, a, axes, keepdims) / count))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = _result(a.data.reshape(shape), (a,), "reshape")
-    if out.requires_grad:
-        def backward():
-            _accum(a, out.grad.reshape(a.data.shape))
-        out._backward = backward
-    return out
+    return _result(a.data.reshape(shape), (a,), "reshape",
+                   lambda g: _accum(a, g.reshape(a.data.shape)))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    out = _result(a.data.transpose(axes), (a,), "transpose")
-    if out.requires_grad:
-        inv = np.argsort(axes)
-
-        def backward():
-            _accum(a, out.grad.transpose(inv))
-        out._backward = backward
-    return out
+    return _result(a.data.transpose(axes), (a,), "transpose",
+                   lambda g: _accum(a, g.transpose(np.argsort(axes))))
 
 
 def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
     parts = list(parts)
-    out = _result(np.concatenate([p.data for p in parts], axis=axis), parts, "concat")
-    if out.requires_grad:
-        sizes = [p.data.shape[axis] for p in parts]
-        offsets = np.cumsum(sizes)[:-1]
 
-        def backward():
-            for p, g in zip(parts, np.split(out.grad, offsets, axis=axis)):
-                _accum(p, g)
-        out._backward = backward
-    return out
+    def backward(g):
+        offsets = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+        for p, gp in zip(parts, np.split(g, offsets, axis=axis)):
+            _accum(p, gp)
+    return _result(np.concatenate([p.data for p in parts], axis=axis), parts, "concat",
+                   backward)
 
 
 def split(a: Tensor, n: int) -> list[Tensor]:
@@ -451,23 +411,18 @@ def split(a: Tensor, n: int) -> list[Tensor]:
     parts = []
     for i in range(n):
         cols = slice(i * width, (i + 1) * width)
-        out = _result(a.data[..., cols], (a,), "split")
-        if out.requires_grad:
-            def backward(out=out, cols=cols):
-                _grad(a)[..., cols] += out.grad
-            out._backward = backward
-        parts.append(out)
+
+        def backward(g, cols=cols):
+            _grad(a)[..., cols] += g
+        parts.append(_result(a.data[..., cols], (a,), "split", backward))
     return parts
 
 
 def channel(a: Tensor, k: int) -> Tensor:
     """Select channel k of a (..., H, W, C) feature map."""
-    out = _result(np.ascontiguousarray(a.data[..., k]), (a,), "channel")
-    if out.requires_grad:
-        def backward():
-            _grad(a)[..., k] += out.grad
-        out._backward = backward
-    return out
+    def backward(g):
+        _grad(a)[..., k] += g
+    return _result(np.ascontiguousarray(a.data[..., k]), (a,), "channel", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +435,10 @@ def softmax(a: Tensor, axis: int) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = _flush_subnormals(e / e.sum(axis=axis, keepdims=True))
-    out = _result(y, (a,), "softmax")
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            _accum(a, _flush_subnormals(y * (g - (g * y).sum(axis=axis, keepdims=True))))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        _accum(a, _flush_subnormals(y * (g - (g * y).sum(axis=axis, keepdims=True))))
+    return _result(y, (a,), "softmax", backward)
 
 
 def _flush_subnormals(x: np.ndarray) -> np.ndarray:
@@ -560,26 +512,22 @@ def gelu(a: Tensor) -> Tensor:
     else:
         phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
         y = a.data * phi
-    out = _result(y, (a,), "gelu")
-    if out.requires_grad:
-        def backward():
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-            _accum(a, out.grad * (phi + a.data * pdf))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
+        _accum(a, g * (phi + a.data * pdf))
+    return _result(y, (a,), "gelu", backward)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     if not 0.0 < slope < 1.0:
         raise ValueError("leaky_relu slope must lie in (0, 1)")
-    out = _result(np.maximum(a.data, slope * a.data), (a,), "leaky_relu")
-    if out.requires_grad:
-        def backward():
-            # factor 1 where a >= 0, else slope, looked up by the mask's bytes
-            factor = np.array([slope, 1.0], a.data.dtype).take((a.data >= 0).view(np.uint8))
-            _accum(a, out.grad * factor)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        # factor 1 where a >= 0, else slope, looked up by the mask's bytes
+        factor = np.array([slope, 1.0], a.data.dtype).take((a.data >= 0).view(np.uint8))
+        _accum(a, g * factor)
+    return _result(np.maximum(a.data, slope * a.data), (a,), "leaky_relu", backward)
 
 
 def layer_norm(a: Tensor, axis: int, epsilon: float = 1e-5) -> Tensor:
@@ -588,15 +536,12 @@ def layer_norm(a: Tensor, axis: int, epsilon: float = 1e-5) -> Tensor:
     var = (d * d).mean(axis=axis, keepdims=True)  # np.var's arithmetic, one pass fewer
     inv = 1.0 / np.sqrt(var + epsilon)
     y = d * inv
-    out = _result(y, (a,), "layer_norm")
-    if out.requires_grad:
-        def backward():
-            g = out.grad
-            gm = g.mean(axis=axis, keepdims=True)
-            gym = (g * y).mean(axis=axis, keepdims=True)
-            _accum(a, inv * (g - gm - y * gym))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        gm = g.mean(axis=axis, keepdims=True)
+        gym = (g * y).mean(axis=axis, keepdims=True)
+        _accum(a, inv * (g - gm - y * gym))
+    return _result(y, (a,), "layer_norm", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -619,24 +564,16 @@ def pixel_unshuffle(a: Tensor, r: int) -> Tensor:
     h, w, _ = a.data.shape[-3:]
     if h % r or w % r:
         raise ValueError(f"spatial extents {h}x{w} not divisible by factor {r}")
-    out = _result(_unshuffle_arr(a.data, r), (a,), "pixel_unshuffle")
-    if out.requires_grad:
-        def backward():
-            _accum(a, _shuffle_arr(out.grad, r))
-        out._backward = backward
-    return out
+    return _result(_unshuffle_arr(a.data, r), (a,), "pixel_unshuffle",
+                   lambda g: _accum(a, _shuffle_arr(g, r)))
 
 
 def pixel_shuffle(a: Tensor, r: int) -> Tensor:
     c = a.data.shape[-1]
     if c % (r * r):
         raise ValueError(f"channel count {c} not divisible by {r * r}")
-    out = _result(_shuffle_arr(a.data, r), (a,), "pixel_shuffle")
-    if out.requires_grad:
-        def backward():
-            _accum(a, _unshuffle_arr(out.grad, r))
-        out._backward = backward
-    return out
+    return _result(_shuffle_arr(a.data, r), (a,), "pixel_shuffle",
+                   lambda g: _accum(a, _unshuffle_arr(g, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +582,8 @@ def pixel_shuffle(a: Tensor, r: int) -> Tensor:
 
 def conv2d(x: Tensor, kernel: Tensor, mode: str, bias: Tensor | None = None) -> Tensor:
     """2-D convolution on (..., H, W, C) maps, each map of the leading axes on
-    its own; 3x3 kernels see zeros outside the map.
+    its own; 3x3 kernels see zeros outside the map. The bias, one per output
+    channel, is added inside the kernel, so a biased conv is one node.
 
     modes: 'pointwise_1x1' kernel (Cin, Cout); 'depthwise_3x3' kernel (3, 3, C);
     'full_3x3' kernel (3, 3, Cin, Cout).
@@ -653,16 +591,12 @@ def conv2d(x: Tensor, kernel: Tensor, mode: str, bias: Tensor | None = None) -> 
     if x.data.ndim < 3:
         raise ValueError(f"conv2d expects (..., H, W, C) maps, got shape {x.data.shape}")
     if mode == "pointwise_1x1":
-        out = _dense(x, kernel, None, "conv1x1")
-    elif mode == "depthwise_3x3":
-        out = _conv_depthwise(x, kernel)
-    elif mode == "full_3x3":
-        out = _conv_full3x3(x, kernel)
-    else:
-        raise ValueError(f"unknown conv mode {mode!r}")
-    if bias is not None:
-        out = add(out, bias)
-    return out
+        return _dense(x, kernel, bias, "conv1x1")
+    if mode == "depthwise_3x3":
+        return _conv_depthwise(x, kernel, bias)
+    if mode == "full_3x3":
+        return _conv_full3x3(x, kernel, bias)
+    raise ValueError(f"unknown conv mode {mode!r}")
 
 
 def _items(x: np.ndarray) -> np.ndarray:
@@ -683,28 +617,42 @@ def _windows(xs: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
 
 
-def _conv_depthwise(x: Tensor, k: Tensor) -> Tensor:
+def _conv3x3(x: Tensor, k: Tensor, bias: Tensor | None, op: str, y: np.ndarray,
+             backward: Callable[[np.ndarray], None]) -> Tensor:
+    """The node of a 3x3 kernel's output y, of x's leading shape: the bias is
+    added to y in place, and its gradient is the output gradient summed back
+    to the bias's shape. backward(g) handles x and k."""
+    y = y.reshape(x.data.shape[:-1] + y.shape[-1:])
+    if bias is None:
+        return _result(y, (x, k), op, backward)
+    y += bias.data
+
+    def biased(g):
+        if bias.requires_grad:
+            _accum(bias, _unbroadcast(g, bias.data.shape))
+        backward(g)
+    return _result(y, (x, k, bias), op, biased)
+
+
+def _conv_depthwise(x: Tensor, k: Tensor, bias: Tensor | None) -> Tensor:
     xs = _items(x.data)
     c = xs.shape[3]
     if k.data.shape != (3, 3, c):
         raise ValueError(f"depthwise kernel {k.data.shape} vs input channels {c}")
+
+    def backward(g):
+        # x's gradient is the same zero-padded correlation of the output
+        # gradient with the flipped kernel; xs is padded again here rather
+        # than kept padded, so the graph holds no copy of it
+        gs = _items(g)
+        if k.requires_grad:
+            _accum(k, np.einsum("nhwcij,nhwc->ijc", _windows(xs), gs))
+        if x.requires_grad:
+            gx = np.einsum("nhwcij,ijc->nhwc", _windows(gs), k.data[::-1, ::-1])
+            _accum(x, gx.reshape(x.data.shape))
     # one multiply-accumulate pass over the windows, not a ufunc pass per tap
     y = np.einsum("nhwcij,ijc->nhwc", _windows(xs), k.data)
-    out = _result(y.reshape(x.data.shape), (x, k), "conv_dw3x3")
-    if out.requires_grad:
-        def backward():
-            # x's gradient is the same zero-padded correlation of the output
-            # gradient with the flipped kernel; xs is padded again here rather
-            # than kept padded, so the graph holds no copy of it
-            g = _items(out.grad)
-            gx, gk = _grad(x), _grad(k)
-            if gk is not None:
-                gk += np.einsum("nhwcij,nhwc->ijc", _windows(xs), g)
-            if gx is not None:
-                flipped = k.data[::-1, ::-1]
-                gx += np.einsum("nhwcij,ijc->nhwc", _windows(g), flipped).reshape(gx.shape)
-        out._backward = backward
-    return out
+    return _conv3x3(x, k, bias, "conv_dw3x3", y, backward)
 
 
 def _cols(xs: np.ndarray) -> np.ndarray:
@@ -714,29 +662,26 @@ def _cols(xs: np.ndarray) -> np.ndarray:
     return _windows(xs).transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * xs.shape[3])
 
 
-def _conv_full3x3(x: Tensor, k: Tensor) -> Tensor:
+def _conv_full3x3(x: Tensor, k: Tensor, bias: Tensor | None) -> Tensor:
     xs = _items(x.data)
     ci = xs.shape[3]
-    if k.data.shape[:3] != (3, 3, ci):
+    if k.data.ndim != 4 or k.data.shape[:3] != (3, 3, ci):
         raise ValueError(f"3x3 kernel {k.data.shape} vs input channels {ci}")
     co = k.data.shape[3]
+
+    def backward(g):
+        # as in _conv_depthwise: x's gradient correlates the output gradient
+        # with the flipped kernel, and the rows are built again here rather
+        # than kept, so the graph holds no 9x copy of xs
+        gs = _items(g)
+        if k.requires_grad:
+            _accum(k, (_cols(xs).T @ gs.reshape(-1, co)).reshape(k.data.shape))
+        if x.requires_grad:
+            flipped = k.data[::-1, ::-1].swapaxes(2, 3).reshape(9 * co, ci)
+            _accum(x, (_cols(gs) @ flipped).reshape(x.data.shape))
     # one GEMM over the window rows, not a matmul per tap
     y = _cols(xs) @ k.data.reshape(9 * ci, co)
-    out = _result(y.reshape(x.data.shape[:-1] + (co,)), (x, k), "conv3x3")
-    if out.requires_grad:
-        def backward():
-            # as in _conv_depthwise: x's gradient correlates the output
-            # gradient with the flipped kernel, and the rows are built again
-            # here rather than kept, so the graph holds no 9x copy of xs
-            g = _items(out.grad)
-            gx, gk = _grad(x), _grad(k)
-            if gk is not None:
-                gk += (_cols(xs).T @ g.reshape(-1, co)).reshape(gk.shape)
-            if gx is not None:
-                flipped = k.data[::-1, ::-1].swapaxes(2, 3).reshape(9 * co, ci)
-                gx += (_cols(g) @ flipped).reshape(gx.shape)
-        out._backward = backward
-    return out
+    return _conv3x3(x, k, bias, "conv3x3", y, backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -756,18 +701,17 @@ def _dense(x: Tensor, w: Tensor, bias: Tensor | None, op: str) -> Tensor:
     y = rows @ w.data
     if bias is not None:
         y += bias.data
-    prev = (x, w) if bias is None else (x, w, bias)
-    out = _result(y.reshape(x.data.shape[:-1] + (-1,)), prev, op)
-    if out.requires_grad:
-        def backward():
-            g = out.grad.reshape(-1, out.grad.shape[-1])
-            if x.requires_grad:
-                _accum(x, (g @ w.data.T).reshape(x.data.shape))
+
+    def backward(g):
+        g = g.reshape(-1, g.shape[-1])
+        if x.requires_grad:
+            _accum(x, (g @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
             _accum(w, rows.T @ g)
-            if bias is not None:
-                _accum(bias, _unbroadcast(g, bias.data.shape))
-        out._backward = backward
-    return out
+        if bias is not None and bias.requires_grad:
+            _accum(bias, _unbroadcast(g, bias.data.shape))
+    prev = (x, w) if bias is None else (x, w, bias)
+    return _result(y.reshape(x.data.shape[:-1] + (-1,)), prev, op, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,12 @@ def _permute_last(x: Tensor, perm: tuple) -> Tensor:
     return T.transpose(x, tuple(range(n)) + tuple(n + p for p in perm))
 
 
-def _heads_view(x: Tensor, heads: int) -> Tensor:
-    """(..., H, W, C) -> (..., heads, C/heads, H*W)."""
+def _heads_view(x: Tensor, heads: int, perm: tuple = (1, 2, 0)) -> Tensor:
+    """(..., H, W, C) as (..., H*W, heads, C/heads) with its last three axes
+    permuted by perm in one transpose; by default (..., heads, C/heads, H*W)."""
     *lead, h, w, c = x.data.shape
     y = T.reshape(x, (*lead, h * w, heads, c // heads))
-    return _permute_last(y, (1, 2, 0))
+    return _permute_last(y, perm)
 
 
 def _project(m: Tensor, pw: Parameter, dw: Parameter, parts: int) -> list[Tensor]:
@@ -114,7 +115,7 @@ def _project(m: Tensor, pw: Parameter, dw: Parameter, parts: int) -> list[Tensor
 
 def _channel_attention(q: Tensor, k: Tensor, params: AttentionParams) -> Tensor:
     kh = _heads_view(k, params.heads)
-    qh = _permute_last(_heads_view(q, params.heads), (1, 0))  # (..., heads, HW, C/h)
+    qh = _heads_view(q, params.heads, (1, 0, 2))  # (..., heads, HW, C/h)
     gamma_div = T.abs_(params.gamma) + GAMMA_EPS
     scores = T.matmul(kh, qh) / gamma_div
     return T.softmax(scores, axis=-1)

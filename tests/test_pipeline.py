@@ -151,6 +151,7 @@ def test_loss_total_finite_difference_subset():
     assert err < 1e-3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_loss_diagnostic():
     model = SeparationModel(tiny_config())
     model.unet.conv_in.data[:] = 3e38  # overflows f32 in the first conv
@@ -160,6 +161,7 @@ def test_nonfinite_loss_diagnostic():
         train_step(tiny_pairs(1), model, opt, cfg, make_rng(0), 0, 1)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_diagnostic_names_the_source_on_a_diamond():
     from tracersep.pipeline import _first_nonfinite
     with T.precision("f32"):
@@ -505,6 +507,15 @@ TOY_MODEL = dict(d=32, n_tracers=2, lpeb_width=32, denoiser_hidden=256,
                  diffusion_steps=4, unet_levels=2, unet_heads=[1, 2],
                  unet_channels=[8, 16], unet_blocks=[1, 1],
                  gdfn_expansion=4.0, init_seed=2)
+
+
+def test_toy_training_graph_size_is_pinned():
+    # A ratchet on the nodes of one toy training graph (batch 4, 32x32): a
+    # change that removes nodes lowers the pin, one that adds nodes says why.
+    model = SeparationModel(ModelConfig(**TOY_MODEL))
+    pairs = tiny_pairs(4, size=32)
+    dm, tm = pipeline._batch_losses(pairs, model, make_rng(0), teacher_forcing=False)
+    assert len(T.topological_order(dm + tm)) == 337
 
 
 @pytest.mark.parametrize("filled", [True, False])

@@ -1,4 +1,5 @@
 """Autograd core: op oracles, gradient checks, optimizer, serialization."""
+import gc
 import hashlib
 import math
 import tracemalloc
@@ -472,6 +473,10 @@ def test_conv_shape_errors():
         T.conv2d(x, Tensor(np.zeros((3, 3, 2))), "depthwise_3x3")
     with pytest.raises(ValueError):
         T.conv2d(x, Tensor(np.zeros((3, 3, 3))), "banana")
+    # a full 3x3 kernel is (3, 3, Cin, Cout), no fewer axes and no more
+    for kshape in ((3, 3, 3), (3, 3, 3, 2, 1)):
+        with pytest.raises(ValueError):
+            T.conv2d(x, Tensor(np.zeros(kshape)), "full_3x3")
 
 
 def _linear_oracle(x, w, b):
@@ -589,20 +594,28 @@ def test_split_views_and_errors():
 
 
 @pytest.mark.parametrize("op", ["pointwise_1x1", "depthwise_3x3", "full_3x3", "matmul",
-                                "linear"])
+                                "linear", "biased_depthwise_3x3", "biased_full_3x3",
+                                "add", "sub", "mul", "div"])
 def test_backward_skips_the_gradient_of_an_input_that_needs_none(op):
+    # x is once a const and once a parameter; k's gradient must not depend on
+    # it, and neither x nor the const bias gets a gradient buffer
     rng = make_rng(zlib.crc32(op.encode()))
+    mode = op.removeprefix("biased_")
     shapes = {"pointwise_1x1": ((4, 5, 3), (3, 2)), "depthwise_3x3": ((4, 5, 3), (3, 3, 3)),
               "full_3x3": ((4, 5, 3), (3, 3, 3, 2)), "matmul": ((4, 3), (3, 2)),
               "linear": ((2, 4, 3), (3, 2))}
-    xs, ks = shapes[op]
+    xs, ks = shapes.get(mode, ((4, 5, 3), (5, 1)))  # the binary ops broadcast k
     x_data, k_data = rng.standard_normal(xs), rng.standard_normal(ks)
     bias = Tensor(rng.standard_normal(ks[-1]))
-    calls = {"matmul": T.matmul, "linear": lambda x, k: T.linear(x, k, bias)}
+    calls = {"matmul": T.matmul, "linear": lambda x, k: T.linear(x, k, bias),
+             "add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div}
 
     def grads(x):
         k = Parameter(k_data, "k")
-        y = calls[op](x, k) if op in calls else T.conv2d(x, k, op)
+        if op in calls:
+            y = calls[op](x, k)
+        else:
+            y = T.conv2d(x, k, mode, bias if op != mode else None)
         probe = np.linspace(-1.0, 1.0, y.data.size).reshape(y.data.shape)
         T.sum_(y * Tensor(probe)).backward()
         return k.grad
@@ -610,7 +623,37 @@ def test_backward_skips_the_gradient_of_an_input_that_needs_none(op):
     const = Tensor(x_data)
     trained = Parameter(x_data, "x")
     assert grads(const).tobytes() == grads(trained).tobytes()
-    assert const.grad is None and trained.grad is not None
+    assert const.grad is None and trained.grad is not None and bias.grad is None
+
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+@pytest.mark.parametrize("lead", [(), (2,), (2, 3)], ids=["lead0", "lead1", "lead2"])
+@pytest.mark.parametrize("kshape", [(3, 3, 4), (3, 3, 4, 3)],
+                         ids=["depthwise_3x3", "full_3x3"])
+def test_biased_conv_is_one_node_bytewise_conv_plus_add(prec, lead, kshape):
+    # the bias inside the 3x3 kernel against the conv node followed by an add
+    # node: output and the x, k and bias gradients must be the same bytes
+    rng = make_rng(len(lead) * 10 + len(kshape))
+    shape = lead + (5, 6, 4)
+    with precision(prec):
+        x = Parameter(rng.standard_normal(shape), "x")
+        k = Parameter(rng.standard_normal(kshape), "k")
+        b = Parameter(rng.standard_normal(kshape[-1]), "b")
+        probe = Tensor(rng.standard_normal(shape[:-1] + kshape[-1:]))
+
+        def run(conv):
+            for p in (x, k, b):
+                p.grad = None
+            y = conv()
+            inputs = y._prev
+            T.sum_(y * probe).backward()
+            return [a.tobytes() for a in (y.data, x.grad, k.grad, b.grad)], inputs
+
+        mode = _mode(k.data)
+        got, inputs = run(lambda: T.conv2d(x, k, mode, b))
+        want, _ = run(lambda: T.add(T.conv2d(x, k, mode), b))
+    assert len(inputs) == 3 and all(p is q for p, q in zip(inputs, (x, k, b)))
+    assert got == want
 
 
 def test_mean_sum_axes():
@@ -637,14 +680,32 @@ def test_no_grad_suppresses_graph():
 
 
 def test_backward_releases_the_graph():
-    # each node drops its closure, which refers back to the node, so the graph
-    # needs no cyclic garbage collection to be freed
+    # each node drops its closure and its inputs once its gradient is passed on
     x = Parameter(np.array([1.5, -2.0]), "x")
     h = T.gelu(x * x)
     loss = T.sum_(h * x)
     loss.backward()
     assert all(t._backward is None and t._prev == () for t in (h, loss))
     assert x.grad is not None
+
+
+def test_an_unused_graph_is_freed_without_cyclic_collection():
+    # a backward closure refers to its op's inputs, never to its own node, so
+    # reference counting frees a graph that backward never ran on
+    rng = make_rng(44)
+    x = Parameter(rng.standard_normal((2, 5, 4, 3)), "x")
+    k = Parameter(rng.standard_normal((3, 3, 3, 2)), "k")
+    b = Parameter(rng.standard_normal(2), "b")
+    gc.collect()
+    gc.disable()
+    try:
+        y = T.softmax(T.conv2d(T.gelu(x) * 2.0 - x, k, "full_3x3", b), axis=-1)
+        loss = T.mean(T.split(y, 2)[1]) / 3.0
+        assert loss.requires_grad
+        del y, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_shared_subexpression_accumulates():
