@@ -123,6 +123,10 @@ class PhantomPair:
     region_masks: dict  # "{name}_t{k}" -> binary array
     seed: int
     spec: PhantomSpec
+    # texture masks of (dual, *singles) by tau, filled by training on first
+    # use: a pair's images never change, so neither do their masks
+    _texture_masks: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
 
 def _blob_pattern(rng: np.random.Generator, spec: PhantomSpec) -> np.ndarray:

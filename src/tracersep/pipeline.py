@@ -108,16 +108,21 @@ def loss_tm(separated: list[Tensor], targets: list[np.ndarray],
     Predictions and targets are (..., H, W); each mean runs over all their
     elements, so a batch gives the mean of its items' losses.
     """
+    return _loss_tm(separated, targets,
+                    (image_mask(truth, texture_cfg.tau) for truth in targets))
+
+
+def _loss_tm(separated: list[Tensor], targets: list[np.ndarray], masks) -> Tensor:
+    """loss_tm with the targets' texture masks given, one per target."""
     if len(separated) != len(targets):
         raise ValueError(f"{len(separated)} predictions vs {len(targets)} targets")
     total = None
-    for pred, truth in zip(separated, targets):
+    for pred, truth, mask in zip(separated, targets, masks):
         if pred.data.shape != truth.shape:
             raise ValueError(f"shape mismatch {pred.data.shape} vs {truth.shape}")
         # mask is 0/1, so |diff * mask| is |pred * mask - truth * mask| bit for bit
         diff = pred - Tensor(truth)
-        mask = Tensor(image_mask(truth, texture_cfg.tau))
-        term = T.mean(T.abs_(diff)) + T.mean(T.abs_(diff * mask))
+        term = T.mean(T.abs_(diff)) + T.mean(T.abs_(diff * Tensor(mask)))
         total = term if total is None else total + term
     return total
 
@@ -128,6 +133,17 @@ def _first_nonfinite(root: Tensor) -> str:
         if not np.all(np.isfinite(node.data)):
             return getattr(node, "name", node.op)
     return root.op
+
+
+def _pair_masks(pair: PhantomPair, tau: int) -> np.ndarray:
+    """Texture masks (1 + n_tracers, H, W) of a pair's dual and singles at tau,
+    computed on first use and kept on the pair. Each image is masked on its
+    own, so these are bytewise the masks of any stack the image is in."""
+    masks = pair._texture_masks.get(tau)
+    if masks is None:
+        masks = image_mask(np.stack([pair.dual, *pair.singles]), tau)
+        pair._texture_masks[tau] = masks
+    return masks
 
 
 def _batch_losses(batch: list[PhantomPair], model: SeparationModel,
@@ -143,7 +159,8 @@ def _batch_losses(batch: list[PhantomPair], model: SeparationModel,
     dual = np.stack([pair.dual for pair in batch])
     singles = [np.stack(images) for images in zip(*(pair.singles for pair in batch))]
     latent = extract_msp(dual, singles, model.msp_encoder)
-    u_dual = masked_texture(dual, image_mask(dual, model.texture.tau))
+    masks = np.stack([_pair_masks(pair, model.texture.tau) for pair in batch])
+    u_dual = masked_texture(dual, masks[:, 0])
     condition = extract_condition(dual, u_dual, model.cond_encoder)
 
     draws = [(int(rng.integers(1, sched.T + 1)),
@@ -165,7 +182,7 @@ def _batch_losses(batch: list[PhantomPair], model: SeparationModel,
 
     latent_for_unet = latent if teacher_forcing else rolled
     preds = unet_forward(dual, u_dual, latent_for_unet, model.unet)
-    tm = loss_tm(preds, singles, model.texture)
+    tm = _loss_tm(preds, singles, masks[:, 1:].swapaxes(0, 1))
     return dm, tm
 
 

@@ -634,6 +634,28 @@ def _conv3x3(x: Tensor, k: Tensor, bias: Tensor | None, op: str, y: np.ndarray,
     return _result(y, (x, k, bias), op, biased)
 
 
+def _window_rows(xs: np.ndarray) -> np.ndarray:
+    """(N, H, W, C) as the (N, H, 3, 3, W*C) rows of its _windows: entry
+    [n, i, di, dj, j*C + c] is window [n, i, j, c] at [di, dj]. Merging W and
+    C is free, as W's stride in the padded copy is C items, so this is still a
+    view of that copy and each row is W*C contiguous items."""
+    n, h, w, c = xs.shape
+    return _windows(xs).transpose(0, 1, 4, 5, 2, 3).reshape(n, h, 3, 3, w * c)
+
+
+def _depthwise_rows(xs: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The zero-padded 3x3 depthwise correlation of xs (N, H, W, C) with k
+    (3, 3, C), as one multiply-accumulate pass over the window rows against k
+    tiled along W. The inner loop runs over a whole W*C row rather than over
+    C, and each output still adds its nine products in (di, dj) order, so for
+    C >= 2 the result is bytewise that of the per-pixel einsum
+    nhwcij,ijc->nhwc. (At C = 1 numpy makes the column tap the inner loop of
+    either einsum, and f64 results can differ in the last bits.)"""
+    n, h, w, c = xs.shape
+    y = np.einsum("nhijk,ijk->nhk", _window_rows(xs), np.tile(k, (1, 1, w)))
+    return y.reshape(n, h, w, c)
+
+
 def _conv_depthwise(x: Tensor, k: Tensor, bias: Tensor | None) -> Tensor:
     xs = _items(x.data)
     c = xs.shape[3]
@@ -643,15 +665,15 @@ def _conv_depthwise(x: Tensor, k: Tensor, bias: Tensor | None) -> Tensor:
     def backward(g):
         # x's gradient is the same zero-padded correlation of the output
         # gradient with the flipped kernel; xs is padded again here rather
-        # than kept padded, so the graph holds no copy of it
+        # than kept padded, so the graph holds no copy of it. k's gradient
+        # stays per pixel: it sums the pixels one after another, an order a
+        # row-wise contraction would change
         gs = _items(g)
         if k.requires_grad:
             _accum(k, np.einsum("nhwcij,nhwc->ijc", _windows(xs), gs))
         if x.requires_grad:
-            gx = np.einsum("nhwcij,ijc->nhwc", _windows(gs), k.data[::-1, ::-1])
-            _accum(x, gx.reshape(x.data.shape))
-    # one multiply-accumulate pass over the windows, not a ufunc pass per tap
-    y = np.einsum("nhwcij,ijc->nhwc", _windows(xs), k.data)
+            _accum(x, _depthwise_rows(gs, k.data[::-1, ::-1]).reshape(x.data.shape))
+    y = _depthwise_rows(xs, k.data)
     return _conv3x3(x, k, bias, "conv_dw3x3", y, backward)
 
 

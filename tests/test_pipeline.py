@@ -518,6 +518,63 @@ def test_toy_training_graph_size_is_pinned():
     assert len(T.topological_order(dm + tm)) == 337
 
 
+def test_toy_training_is_bytewise_that_of_the_per_pixel_depthwise_kernel(monkeypatch):
+    # the depthwise forward and input gradient run over whole W*C window
+    # rows; 5 f32 toy steps with the per-pixel einsum they replaced must give
+    # the same losses and parameter bytes, since criterion 5's thin margin
+    # was measured with it
+    def run():
+        model = SeparationModel(ModelConfig(**TOY_MODEL))
+        cfg = TrainConfig()
+        opt = Adam(model.parameters(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
+                   eps=cfg.eps)
+        rng = make_rng(0)
+        pairs = tiny_pairs(4, size=32)
+        losses = [train_step(pairs, model, opt, cfg, rng, step, cfg.steps)
+                  for step in range(5)]
+        return losses, [p.data.tobytes() for p in model.parameters()]
+
+    got = run()
+    calls = []
+
+    def per_pixel(xs, k):
+        calls.append(xs.shape)
+        return np.einsum("nhwcij,ijc->nhwc", T._windows(xs), k)
+
+    monkeypatch.setattr(T, "_depthwise_rows", per_pixel)
+    want = run()
+    assert calls
+    assert got == want
+
+
+def test_training_masks_are_computed_once_per_pair_and_tau(monkeypatch):
+    real = pipeline.image_mask
+    calls = []
+
+    def counted(image, tau):
+        calls.append((image.shape, tau))
+        return real(image, tau)
+
+    monkeypatch.setattr(pipeline, "image_mask", counted)
+    model = SeparationModel(tiny_config())
+    tau = model.texture.tau
+    pairs = tiny_pairs(3)
+    for _ in range(2):
+        pipeline._batch_losses(pairs, model, make_rng(0), teacher_forcing=False)
+    # one call per pair on its (dual, *singles) stack, none on the second step
+    assert calls == [((3, 8, 8), tau)] * 3
+    # bytewise the masks of the batch stacks that each step used to compute
+    masks = np.stack([p._texture_masks[tau] for p in pairs])
+    dual = np.stack([p.dual for p in pairs])
+    assert masks[:, 0].tobytes() == real(dual, tau).tobytes()
+    for i in range(2):
+        single = np.stack([p.singles[i] for p in pairs])
+        assert masks[:, 1 + i].tobytes() == real(single, tau).tobytes()
+    model.texture.tau = 120
+    pipeline._batch_losses(pairs[:1], model, make_rng(0), teacher_forcing=False)
+    assert calls[3:] == [((3, 8, 8), 120)] and sorted(pairs[0]._texture_masks) == [120, tau]
+
+
 @pytest.mark.parametrize("filled", [True, False])
 @pytest.mark.parametrize("config,count,digest", [
     (TOY_MODEL, 73, "ca2ceb53aba2a50f"),

@@ -368,6 +368,62 @@ def test_3x3_backward_against_per_tap_formula(lead, h, w, ci, co, full, seed):
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def _depthwise_per_pixel(xs, k):
+    """The depthwise kernel before window rows: one einsum over the per-pixel
+    windows, whose inner loop runs over C alone."""
+    return np.einsum("nhwcij,ijc->nhwc", T._windows(xs), k)
+
+
+def _root(a):
+    """The array that owns a view's memory, through stride_tricks' wrappers."""
+    while getattr(a, "base", None) is not None:
+        a = a.base
+    return a
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(prec=st.sampled_from(["f32", "f64"]), lead=st.lists(st.integers(1, 3), max_size=2),
+       h=st.integers(1, 5), w=st.integers(1, 5), c=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(prec="f64", lead=[], h=2, w=4, c=1, seed=0)
+@example(prec="f32", lead=[2], h=5, w=5, c=6, seed=1)
+def test_depthwise_is_bytewise_the_per_pixel_einsum(prec, lead, h, w, c, seed):
+    # y and x.grad come from one einsum over whole W*C window rows; for C >= 2
+    # each output adds the same nine products in the same (di, dj) order as
+    # the per-pixel einsum, so the bytes must match in either precision
+    rng = make_rng(seed)
+    shape = tuple(lead) + (h, w, c)
+    with precision(prec):
+        x = Parameter(rng.standard_normal(shape), "x")
+        k = Parameter(rng.standard_normal((3, 3, c)), "k")
+        g = Tensor(rng.standard_normal(shape))
+        y = T.conv2d(x, k, "depthwise_3x3")
+        T.sum_(y * g).backward()
+    xs, gs, kf = T._items(x.data), T._items(g.data), k.data[::-1, ::-1]
+    pairs = [(y.data, _depthwise_per_pixel(xs, k.data), _depthwise_per_pixel(abs(xs), abs(k.data))),
+             (x.grad, _depthwise_per_pixel(gs, kf), _depthwise_per_pixel(abs(gs), abs(kf)))]
+    for got, want, want_abs in pairs:
+        assert got.dtype == x.data.dtype
+        if c > 1:
+            assert got.tobytes() == want.reshape(got.shape).tobytes()
+        else:
+            # at C = 1 the column tap dj has the unit stride of the row, and
+            # numpy's einsum makes it the inner loop in either formulation, so
+            # neither adds in (di, dj) order and f64 may differ in the last
+            # bits: each is within 9 roundings of the exact sum
+            u = np.finfo(got.dtype).eps / 2
+            gamma = 9 * u / (1 - 9 * u)
+            diff = np.abs(got - want.reshape(got.shape).astype(np.float64))
+            assert np.all(diff <= 2 * gamma * want_abs.reshape(got.shape))
+    # the merged rows are a view of the zero-padded copy: a layout that made
+    # numpy copy the nine windows would fail here rather than run slowly
+    rows = T._window_rows(xs)
+    padded = _root(rows)
+    assert rows.shape == (xs.shape[0], h, 3, 3, w * c)
+    assert padded.shape == (xs.shape[0], h + 2, w + 2, c)
+    assert np.shares_memory(rows, padded)
+
+
 @pytest.mark.parametrize("shape, kshape", [
     ((1, 8, 8, 1536), (3, 3, 1536)), ((1, 16, 16, 144), (3, 3, 144)),
     ((4, 16, 16, 128), (3, 3, 128)), ((1, 64, 64, 48), (3, 3, 48, 2)),
