@@ -131,6 +131,50 @@ def test_train_writes_checkpoint_and_manifest(ckpt):
                                                       "manifest.json"]
 
 
+MANIFEST_KEYS = ["command", "argv", "config", "seed", "version", "inputs", "outputs",
+                 "checkpoint_sha", "wall_clock_s"]
+
+
+def _run_argv(command: str, tmp_path: Path, corpus: Path, ckpt: Path):
+    """(argv, directory its manifest lands in) of one run of `command`."""
+    out = tmp_path / "run"
+    dual = str(corpus / "p0000_dual.tsr")
+    if command == "phantom":
+        return ["phantom", "--seed", "3", "--count", "1", "--size", "8", "--out", str(out)], out
+    if command == "train":
+        return ["train", "--config", str(tmp_path / "cfg.json"), "--data", str(corpus),
+                "--steps", "1", "--out", str(out)], out
+    if command == "lbp":
+        return ["lbp", "--input", dual, "--out", str(out)], out
+    if command == "separate":
+        return ["separate", "--ckpt", str(ckpt), "--input", dual, "--out", str(out)], out
+    if command == "evaluate":
+        pred = _truth_as_predictions(tmp_path / "pred", corpus)
+        return ["evaluate", "--pred", str(pred), "--truth", str(corpus),
+                "--out", str(out / "metrics.csv")], out
+    return ["sweep-tau", "--ckpt", str(ckpt), "--data", str(corpus), "--taus", "180",
+            "--out", str(out / "sweep.csv")], out
+
+
+@pytest.mark.parametrize("command", ["phantom", "train", "lbp", "separate", "evaluate",
+                                     "sweep-tau"])
+def test_every_subcommand_writes_one_kind_of_manifest(tmp_path, corpus, ckpt, command):
+    argv, out = _run_argv(command, tmp_path, corpus, ckpt)
+    assert dispatch(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == command
+    assert manifest["argv"] == argv
+    assert manifest["outputs"]
+    assert all((out / name).is_file() for name in manifest["outputs"])
+    read_or_written = {"train": out, "separate": ckpt, "sweep-tau": ckpt}.get(command)
+    if read_or_written is None:
+        assert manifest["checkpoint_sha"] is None
+    else:
+        meta = (read_or_written / "checkpoint.json").read_bytes()
+        assert manifest["checkpoint_sha"] == hashlib.sha256(meta).hexdigest()
+
+
 @pytest.mark.parametrize("flag", ["steps", "batch"])
 def test_train_rejects_nonpositive_flag_before_training(tmp_path, corpus, capsys, flag):
     cfg = tmp_path / "cfg.json"
