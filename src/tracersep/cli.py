@@ -1,9 +1,9 @@
 """Command-line entry point: phantom generation, training, separation,
 evaluation, texture inspection, and the texture-threshold sweep.
 
-Every run writes a manifest.json next to its outputs; `--replay manifest.json`
-re-dispatches the recorded argv and reproduces the artifacts byte-for-byte
-(single-threaded).
+Once a subcommand succeeds, `dispatch` writes a manifest.json next to its
+outputs; a failed run leaves none. `--replay manifest.json` re-dispatches the
+recorded argv and reproduces the artifacts byte-for-byte (single-threaded).
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .evaluation import (MetricsRow, PhantomPair, PhantomSpec, evaluate_pair,
 from .pipeline import (ARCHIVE, META, ModelConfig, SeparationModel, TrainConfig,
                        load_checkpoint, save_checkpoint, separate, train)
 from .tensor import load_tsr, save_tsr
-from .texture import lbp_map, masked_texture, texture_mask
+from .texture import TextureConfig, lbp_map, masked_texture, texture_mask
 
 
 # ---------------------------------------------------------------------------
@@ -59,48 +59,18 @@ def write_pgm8(path, values: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# run manifests
+# subcommands: each returns what its run manifest records, as (directory,
+# config, seed, inputs, outputs, checkpoint directory read or written or None)
 # ---------------------------------------------------------------------------
 
-def _write_manifest(directory: Path, command: str, argv: list[str], config: dict,
-                    seed, inputs: list[str], outputs: list[str], started: float,
-                    checkpoint_sha: str | None = None) -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "command": command,
-        "argv": argv,
-        "config": config,
-        "seed": seed,
-        "version": __version__,
-        "inputs": inputs,
-        "outputs": outputs,
-        "checkpoint_sha": checkpoint_sha,
-        "wall_clock_s": round(time.time() - started, 3),
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
-def _ckpt_sha(ckpt_dir: Path) -> str:
-    return hashlib.sha256((ckpt_dir / META).read_bytes()).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_phantom(args, argv) -> int:
-    started = time.time()
+def cmd_phantom(args):
     out = Path(args.out)
     seeds = [args.seed + i for i in range(args.count)]
-    spec = PhantomSpec(size=args.size)
-    pairs = save_corpus(out, seeds, spec)
+    pairs = save_corpus(out, seeds, PhantomSpec(size=args.size))
     for idx, pair in enumerate(pairs):
         write_pgm16(out / f"p{idx:04d}_dual.pgm", pair.dual)
-    outputs = sorted(p.name for p in out.iterdir())
-    _write_manifest(out, "phantom", argv,
-                    {"seed": args.seed, "count": args.count, "size": args.size},
-                    args.seed, [], outputs, started)
-    return 0
+    return (out, {"seed": args.seed, "count": args.count, "size": args.size}, args.seed,
+            [], sorted(p.name for p in out.iterdir()), None)
 
 
 def _load_train_config(args) -> tuple[ModelConfig, TrainConfig]:
@@ -116,8 +86,7 @@ def _load_train_config(args) -> tuple[ModelConfig, TrainConfig]:
             TrainConfig(**merged("train", ("steps", "lr", "batch", "seed", "precision"))))
 
 
-def cmd_train(args, argv) -> int:
-    started = time.time()
+def cmd_train(args):
     model_cfg, train_cfg = _load_train_config(args)
     pairs = load_corpus(args.data)
     out = Path(args.out)
@@ -126,15 +95,11 @@ def cmd_train(args, argv) -> int:
         history = train(pairs, model, train_cfg, log_every=args.log_every)
         save_checkpoint(model, out, step=train_cfg.steps, seed=train_cfg.seed,
                         loss_tail=[list(h) for h in history[-20:]])
-    _write_manifest(out, "train", argv,
-                    {"model": model_cfg.__dict__, "train": train_cfg.__dict__},
-                    train_cfg.seed, [str(args.data)], [META, ARCHIVE], started,
-                    checkpoint_sha=_ckpt_sha(out))
-    return 0
+    return (out, {"model": model_cfg.__dict__, "train": train_cfg.__dict__}, train_cfg.seed,
+            [str(args.data)], [META, ARCHIVE], out)
 
 
-def cmd_separate(args, argv) -> int:
-    started = time.time()
+def cmd_separate(args):
     dual = _check_2d(load_tsr(args.input), f"input {args.input}")
     model, _ = load_checkpoint(args.ckpt)
     out = Path(args.out)
@@ -149,11 +114,8 @@ def cmd_separate(args, argv) -> int:
             outputs += [f"{stem}.tsr", f"{stem}.pgm"]
     save_tsr(out / "prior.tsr", prior)
     outputs.append("prior.tsr")
-    _write_manifest(out, "separate", argv,
-                    {"seed": args.seed, "alpha": args.alpha, "tau": args.tau},
-                    args.seed, [str(args.input), str(args.ckpt)], outputs, started,
-                    checkpoint_sha=_ckpt_sha(Path(args.ckpt)))
-    return 0
+    return (out, {"seed": args.seed, "alpha": args.alpha, "tau": args.tau}, args.seed,
+            [str(args.input), str(args.ckpt)], outputs, args.ckpt)
 
 
 def _load_region_masks(regions_dir: Path, idx: int, pair: PhantomPair) -> dict:
@@ -177,19 +139,15 @@ def evaluate_predictions(pred_dir, truth_dir, regions_dir=None) -> list[MetricsR
     return rows
 
 
-def cmd_evaluate(args, argv) -> int:
-    started = time.time()
+def cmd_evaluate(args):
     rows = evaluate_predictions(args.pred, args.truth, args.regions)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(rows, out)
-    _write_manifest(out.parent, "evaluate", argv, {},
-                    None, [str(args.pred), str(args.truth)], [out.name], started)
-    return 0
+    return out.parent, {}, None, [str(args.pred), str(args.truth)], [out.name], None
 
 
-def cmd_lbp(args, argv) -> int:
-    started = time.time()
+def cmd_lbp(args):
     image = _check_2d(load_tsr(args.input), f"input {args.input}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -198,9 +156,8 @@ def cmd_lbp(args, argv) -> int:
     write_pgm8(out / "lbp.pgm", codes)
     write_pgm8(out / "mask.pgm", mask)
     save_tsr(out / "masked_texture.tsr", masked_texture(image, mask))
-    _write_manifest(out, "lbp", argv, {"tau": args.tau}, None, [str(args.input)],
-                    ["lbp.pgm", "mask.pgm", "masked_texture.tsr"], started)
-    return 0
+    return (out, {"tau": args.tau}, None, [str(args.input)],
+            ["lbp.pgm", "mask.pgm", "masked_texture.tsr"], None)
 
 
 # run_sweep_tau separates the corpus this many images at a time, so that its
@@ -211,8 +168,7 @@ SWEEP_CHUNK = 16
 def run_sweep_tau(ckpt_dir, corpus_dir, taus: list[int], seed: int = 0):
     """Per-tau corpus separation + evaluation; returns aggregate rows."""
     for tau in taus:
-        if not 0 <= tau <= 255:
-            raise ValueError(f"tau {tau} outside [0, 255]")
+        TextureConfig(tau=tau)  # rejects any out of range before anything loads
     model, _ = load_checkpoint(ckpt_dir)
     pairs = load_corpus(corpus_dir)
     duals = np.stack([pair.dual for pair in pairs])
@@ -237,8 +193,7 @@ def run_sweep_tau(ckpt_dir, corpus_dir, taus: list[int], seed: int = 0):
     return results
 
 
-def cmd_sweep_tau(args, argv) -> int:
-    started = time.time()
+def cmd_sweep_tau(args):
     taus = [int(t) for t in args.taus.split(",")]
     rows = run_sweep_tau(args.ckpt, args.data, taus, seed=args.seed)
     out = Path(args.out)
@@ -249,10 +204,8 @@ def cmd_sweep_tau(args, argv) -> int:
         for r in rows:
             writer.writerow([r["tau"], f"{r['psnr_db']:.9g}", f"{r['ssim']:.9g}",
                              f"{r['nrmse']:.9g}", f"{r['mask_density']:.9g}"])
-    _write_manifest(out.parent, "sweep-tau", argv, {"taus": taus, "seed": args.seed},
-                    args.seed, [str(args.ckpt), str(args.data)], [out.name], started,
-                    checkpoint_sha=_ckpt_sha(Path(args.ckpt)))
-    return 0
+    return (out.parent, {"taus": taus, "seed": args.seed}, args.seed,
+            [str(args.ckpt), str(args.data)], [out.name], args.ckpt)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
+    """Run argv's subcommand, then write its manifest.json: a run that fails
+    leaves none."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -333,11 +288,19 @@ def dispatch(argv: list[str]) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    started = time.time()
     try:
-        return args.func(args, argv)
+        directory, config, seed, inputs, outputs, ckpt = args.func(args)
+        sha = None if ckpt is None else hashlib.sha256(
+            (Path(ckpt) / META).read_bytes()).hexdigest()
+        manifest = {"command": args.command, "argv": argv, "config": config, "seed": seed,
+                    "version": __version__, "inputs": inputs, "outputs": outputs,
+                    "checkpoint_sha": sha, "wall_clock_s": round(time.time() - started, 3)}
+        (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     except Exception as exc:  # runtime failure, not usage
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -17,9 +17,6 @@ class DiffusionSchedule:
     alpha: np.ndarray
     alpha_bar: np.ndarray
 
-    def beta_at(self, t: int) -> float:
-        return float(self.beta[t - 1])
-
     def alpha_at(self, t: int) -> float:
         return float(self.alpha[t - 1])
 

@@ -101,19 +101,13 @@ class SeparationModel(T.Module):
         self.texture = cfg.texture()
 
 
-def loss_tm(separated: list[Tensor], targets: list[np.ndarray],
-            texture_cfg: TextureConfig) -> Tensor:
+def loss_tm(separated: list[Tensor], targets: list[np.ndarray], masks) -> Tensor:
     """Per-tracer L1 on images plus L1 on ground-truth-masked textures.
 
-    Predictions and targets are (..., H, W); each mean runs over all their
+    masks holds the targets' texture masks, one per target. Predictions,
+    targets and masks are (..., H, W); each mean runs over all their
     elements, so a batch gives the mean of its items' losses.
     """
-    return _loss_tm(separated, targets,
-                    (image_mask(truth, texture_cfg.tau) for truth in targets))
-
-
-def _loss_tm(separated: list[Tensor], targets: list[np.ndarray], masks) -> Tensor:
-    """loss_tm with the targets' texture masks given, one per target."""
     if len(separated) != len(targets):
         raise ValueError(f"{len(separated)} predictions vs {len(targets)} targets")
     total = None
@@ -182,7 +176,7 @@ def _batch_losses(batch: list[PhantomPair], model: SeparationModel,
 
     latent_for_unet = latent if teacher_forcing else rolled
     preds = unet_forward(dual, u_dual, latent_for_unet, model.unet)
-    tm = _loss_tm(preds, singles, masks[:, 1:].swapaxes(0, 1))
+    tm = loss_tm(preds, singles, masks[:, 1:].swapaxes(0, 1))
     return dm, tm
 
 

@@ -61,10 +61,6 @@ def _dtype(name: str):
     return _DTYPES[name]
 
 
-def set_dtype(name: str) -> None:
-    _state["dtype"] = _dtype(name)
-
-
 def _swap(key: str, value):
     """Generator body of the context managers below: set _state[key] to
     value, yield, and restore the old value however the block exits."""

@@ -5,10 +5,11 @@ leading axes, must give for a batch what it gives for each item on its own:
 the same outputs, the same input gradients, and parameter gradients that are
 the sum of the items' ones. All in f64.
 
-Outputs and input gradients are compared entry by entry. A parameter
-gradient is a sum over the items, and the batch and the items add its terms
-in different orders, so it is compared normwise: an entry near zero may
-carry the rounding of the gradient's largest entries.
+Outputs are compared entry by entry, gradients normwise. A parameter
+gradient is a sum over the items, and an input gradient a sum over the
+paths through the graph, and the batch and the items add these terms in
+different orders: an entry near zero may carry the rounding of the
+gradient's largest entries.
 """
 import numpy as np
 import pytest
@@ -38,8 +39,9 @@ def check_batched(f, arrays, params, lead, consts=()):
 
     Every array becomes a trainable input; the arrays in consts are passed
     after them as they are. Checks the output, each input's gradient and each
-    parameter's gradient under a random linear probe; the parameter
-    gradients within 1e-12 of max(1, their largest entry).
+    parameter's gradient under a random linear probe. Each gradient must lie
+    within 1e-12 * max(1, largest entry) of the items' one: an item's own
+    input gradient, or the sum of the items' parameter gradients.
     """
     for p in params:
         p.grad = None
@@ -57,10 +59,14 @@ def check_batched(f, arrays, params, lead, consts=()):
         np.testing.assert_allclose(out.data[idx], item_out.data, **TOL)
         T.sum_(item_out * Tensor(probe[idx])).backward()
         for g, item in zip(grads, items):
-            np.testing.assert_allclose(g[idx], item.grad, **TOL)
+            assert_normwise_close(g[idx], item.grad, item.name)
     for g, p in zip(param_grads, params):  # the items' gradients, summed
-        scale = max(1.0, float(np.max(np.abs(p.grad))))
-        assert np.max(np.abs(g - p.grad)) <= TOL["atol"] * scale, p.name
+        assert_normwise_close(g, p.grad, p.name)
+
+
+def assert_normwise_close(got, want, name):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= TOL["atol"] * scale, name
 
 
 leads = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple)
@@ -155,6 +161,7 @@ def test_split_batch_matches_items(spec):
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3))
 @example(seed=1998, n=2)  # attn.qkv_dw's gradient differs by 4e-12 relative in one entry
+@example(seed=445, n=2)  # m's gradient differs by 1.1e-11 in one entry, its largest is 145
 def test_transformer_block_batch_matches_items(seed, n):
     # covers modulate, the heads view, channel attention, mdta and gdfn
     blk = BlockParams(4, 2, 6, 2.0, make_rng(seed), "blk")

@@ -135,31 +135,22 @@ MANIFEST_KEYS = ["command", "argv", "config", "seed", "version", "inputs", "outp
                  "checkpoint_sha", "wall_clock_s"]
 
 
-def _run_argv(command: str, tmp_path: Path, corpus: Path, ckpt: Path):
-    """(argv, directory its manifest lands in) of one run of `command`."""
-    out = tmp_path / "run"
-    dual = str(corpus / "p0000_dual.tsr")
-    if command == "phantom":
-        return ["phantom", "--seed", "3", "--count", "1", "--size", "8", "--out", str(out)], out
-    if command == "train":
-        return ["train", "--config", str(tmp_path / "cfg.json"), "--data", str(corpus),
-                "--steps", "1", "--out", str(out)], out
-    if command == "lbp":
-        return ["lbp", "--input", dual, "--out", str(out)], out
-    if command == "separate":
-        return ["separate", "--ckpt", str(ckpt), "--input", dual, "--out", str(out)], out
-    if command == "evaluate":
-        pred = _truth_as_predictions(tmp_path / "pred", corpus)
-        return ["evaluate", "--pred", str(pred), "--truth", str(corpus),
-                "--out", str(out / "metrics.csv")], out
-    return ["sweep-tau", "--ckpt", str(ckpt), "--data", str(corpus), "--taus", "180",
-            "--out", str(out / "sweep.csv")], out
-
-
 @pytest.mark.parametrize("command", ["phantom", "train", "lbp", "separate", "evaluate",
                                      "sweep-tau"])
 def test_every_subcommand_writes_one_kind_of_manifest(tmp_path, corpus, ckpt, command):
-    argv, out = _run_argv(command, tmp_path, corpus, ckpt)
+    out, dual = tmp_path / "run", str(corpus / "p0000_dual.tsr")
+    pred = _truth_as_predictions(tmp_path / "pred", corpus)
+    argv = [command] + {  # each manifest lands in `out`
+        "phantom": ["--seed", "3", "--count", "1", "--size", "8", "--out", str(out)],
+        "train": ["--config", str(tmp_path / "cfg.json"), "--data", str(corpus),
+                  "--steps", "1", "--out", str(out)],
+        "lbp": ["--input", dual, "--out", str(out)],
+        "separate": ["--ckpt", str(ckpt), "--input", dual, "--out", str(out)],
+        "evaluate": ["--pred", str(pred), "--truth", str(corpus),
+                     "--out", str(out / "metrics.csv")],
+        "sweep-tau": ["--ckpt", str(ckpt), "--data", str(corpus), "--taus", "180",
+                      "--out", str(out / "sweep.csv")],
+    }[command]
     assert dispatch(argv) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert list(manifest) == MANIFEST_KEYS

@@ -36,7 +36,7 @@ def test_schedule_invariants():
             assert sched.alpha_bar_at(t) <= sched.alpha_bar_at(t - 1)
             assert abs(sched.alpha_bar_at(t)
                        - sched.alpha_at(t) * sched.alpha_bar_at(t - 1)) < 1e-15
-            assert 0.0 <= sched.beta_at(t) < 1.0
+            assert 0.0 <= sched.beta[t - 1] < 1.0
 
 
 def test_schedule_validation():

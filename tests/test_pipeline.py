@@ -15,7 +15,7 @@ from tracersep.pipeline import (CheckpointError, ModelConfig, SeparationModel,
                                 TrainConfig, load_checkpoint, loss_tm,
                                 save_checkpoint, separate, train, train_step)
 from tracersep.tensor import Adam, Parameter, Tensor, grad_check, make_rng, save_tsr
-from tracersep.texture import TextureConfig
+from tracersep.texture import image_mask
 
 
 def tiny_config(**kw):
@@ -43,7 +43,7 @@ def test_loss_tm_perfect_prediction_is_zero():
     rng = make_rng(1)
     targets = [rng.uniform(0.1, 1.0, size=(8, 8)) for _ in range(2)]
     preds = [Tensor(t) for t in targets]
-    out = loss_tm(preds, targets, TextureConfig())
+    out = loss_tm(preds, targets, [image_mask(t, 180) for t in targets])
     assert float(out.data) == 0.0
 
 
@@ -53,17 +53,16 @@ def test_loss_tm_plus_one_with_full_masks():
     rng = make_rng(2)
     targets = [rng.uniform(0.1, 1.0, size=(8, 8)) for _ in range(2)]
     preds = [Tensor(t + 1.0) for t in targets]
-    out = loss_tm(preds, targets, TextureConfig(tau=0))
+    out = loss_tm(preds, targets, [image_mask(t, 0) for t in targets])
     assert abs(float(out.data) - 4.0) < 1e-5
 
 
 def test_loss_tm_four_term_oracle():
-    from tracersep.texture import image_mask
     rng = make_rng(3)
     with T.precision("f64"):
         targets = [rng.uniform(0.1, 1.0, size=(8, 8)) for _ in range(2)]
         preds = [Tensor(rng.uniform(0.1, 1.0, size=(8, 8))) for _ in range(2)]
-        got = float(loss_tm(preds, targets, TextureConfig(tau=180)).data)
+        got = float(loss_tm(preds, targets, [image_mask(t, 180) for t in targets]).data)
         want = 0.0
         for p, t in zip(preds, targets):
             mask = image_mask(t, 180)
@@ -75,9 +74,9 @@ def test_loss_tm_four_term_oracle():
 def test_loss_tm_shape_errors():
     t = np.zeros((4, 4))
     with pytest.raises(ValueError):
-        loss_tm([Tensor(t)], [t, t], TextureConfig())
+        loss_tm([Tensor(t)], [t, t], [image_mask(t, 180)] * 2)
     with pytest.raises(ValueError):
-        loss_tm([Tensor(np.zeros((2, 2)))], [t], TextureConfig())
+        loss_tm([Tensor(np.zeros((2, 2)))], [t], [image_mask(t, 180)])
 
 
 def test_train_step_additivity_and_history():
