@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .evaluation import (MetricsRow, PhantomPair, PhantomSpec, evaluate_pair,
-                         load_corpus, save_corpus, write_metrics_csv)
+from .evaluation import (MetricsRow, PhantomPair, PhantomSpec, corpus_files,
+                         evaluate_pair, load_corpus, save_corpus, write_metrics_csv)
 from .pipeline import (ARCHIVE, META, ModelConfig, SeparationModel, TrainConfig,
                        load_checkpoint, save_checkpoint, separate, train)
 from .tensor import load_tsr, save_tsr
@@ -67,10 +67,13 @@ def cmd_phantom(args):
     out = Path(args.out)
     seeds = [args.seed + i for i in range(args.count)]
     pairs = save_corpus(out, seeds, PhantomSpec(size=args.size))
+    # what this run wrote, not whatever --out already held
+    outputs = [name for name, _ in corpus_files(pairs)] + ["corpus.json"]
     for idx, pair in enumerate(pairs):
-        write_pgm16(out / f"p{idx:04d}_dual.pgm", pair.dual)
+        outputs.append(f"p{idx:04d}_dual.pgm")
+        write_pgm16(out / outputs[-1], pair.dual)
     return (out, {"seed": args.seed, "count": args.count, "size": args.size}, args.seed,
-            [], sorted(p.name for p in out.iterdir()), None)
+            [], sorted(outputs), None)
 
 
 def _load_train_config(args) -> tuple[ModelConfig, TrainConfig]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -179,20 +180,25 @@ def gen_phantom(seed: int, spec: PhantomSpec | None = None) -> PhantomPair:
 # corpus persistence and reports
 # ---------------------------------------------------------------------------
 
+def corpus_files(pairs: list[PhantomPair]) -> Iterator[tuple[str, np.ndarray]]:
+    """(file name, array) of each .tsr file save_corpus writes for these pairs."""
+    for idx, pair in enumerate(pairs):
+        stem = f"p{idx:04d}"
+        yield f"{stem}_dual.tsr", pair.dual
+        for k, single in enumerate(pair.singles):
+            yield f"{stem}_single{k}.tsr", single
+        for name, mask in pair.region_masks.items():
+            yield f"{stem}_mask_{name}.tsr", mask
+
+
 def save_corpus(out_dir, seeds: list[int], spec: PhantomSpec | None = None) -> list[PhantomPair]:
+    """Write the corpus_files of the seeds' phantoms and a corpus.json."""
     spec = spec or PhantomSpec()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pairs = []
-    for idx, seed in enumerate(seeds):
-        pair = gen_phantom(seed, spec)
-        pairs.append(pair)
-        stem = f"p{idx:04d}"
-        save_tsr(out / f"{stem}_dual.tsr", pair.dual)
-        for k, single in enumerate(pair.singles):
-            save_tsr(out / f"{stem}_single{k}.tsr", single)
-        for name, mask in pair.region_masks.items():
-            save_tsr(out / f"{stem}_mask_{name}.tsr", mask)
+    pairs = [gen_phantom(seed, spec) for seed in seeds]
+    for name, array in corpus_files(pairs):
+        save_tsr(out / name, array)
     manifest = {"seeds": [int(s) for s in seeds], "spec": asdict(spec)}
     (out / "corpus.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return pairs

@@ -27,7 +27,6 @@ import struct
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 _state = {"dtype": np.float32, "grad": True, "fill": True}
@@ -502,10 +501,12 @@ def _gelu_f32(x: np.ndarray, keep_phi: bool) -> tuple[np.ndarray, np.ndarray | N
 
 def gelu(a: Tensor) -> Tensor:
     # exact erf-based Gaussian CDF, not the tanh approximation; f64 takes
-    # scipy's erf, f32 the fitted rational of _phi_half
+    # scipy's erf, f32 the fitted rational of _phi_half. scipy is imported
+    # here, not with the module, so an f32 run never loads it.
     if a.data.dtype == np.float32:
         y, phi = _gelu_f32(a.data, keep_phi=_state["grad"] and a.requires_grad)
     else:
+        from scipy.special import erf
         phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
         y = a.data * phi
 

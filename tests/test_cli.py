@@ -2,7 +2,10 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +50,39 @@ def ckpt(tmp_path, corpus):
     assert dispatch(["train", "--config", str(cfg), "--data", str(corpus),
                      "--out", str(out)]) == 0
     return out
+
+
+# an f32 training step, separation and CLI run, then one f64 gelu; prints the
+# scipy modules loaded after the f32 work, then whether the gelu loaded scipy
+F32_THEN_F64 = """
+import json, sys
+import numpy as np
+from tracersep import cli, tensor as T
+from tracersep.evaluation import PhantomSpec, gen_phantom
+from tracersep.pipeline import ModelConfig, SeparationModel, TrainConfig, separate, train_step
+
+model_cfg, tmp = json.loads(sys.argv[1]), sys.argv[2]
+pairs = [gen_phantom(seed, PhantomSpec(size=8)) for seed in (0, 1)]
+model = SeparationModel(ModelConfig(**model_cfg))
+train_step(pairs, model, T.Adam(model.parameters()), TrainConfig(batch=2), T.make_rng(0), 0, 1)
+separate(pairs[0].dual, model, seed=0)
+T.save_tsr(tmp + "/dual.tsr", pairs[0].dual)
+assert cli.dispatch(["lbp", "--input", tmp + "/dual.tsr", "--out", tmp + "/lbp"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+with T.precision("f64"):
+    T.gelu(T.Tensor(np.ones(3)))
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_f32_runs_never_import_scipy(tmp_path):
+    # in a fresh interpreter, as pytest has imported scipy in this one
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    run = subprocess.run([sys.executable, "-c", F32_THEN_F64, json.dumps(TINY["model"]),
+                          str(tmp_path)], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "True"]
 
 
 def test_help_exits_zero(capsys):
@@ -157,7 +193,12 @@ def test_every_subcommand_writes_one_kind_of_manifest(tmp_path, corpus, ckpt, co
     assert manifest["command"] == command
     assert manifest["argv"] == argv
     assert manifest["outputs"]
+    assert "manifest.json" not in manifest["outputs"]
     assert all((out / name).is_file() for name in manifest["outputs"])
+    # a replay into the same directory, now holding the first manifest too,
+    # records the same outputs as its run
+    assert dispatch(["--replay", str(out / "manifest.json")]) == 0
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == manifest["outputs"]
     read_or_written = {"train": out, "separate": ckpt, "sweep-tau": ckpt}.get(command)
     if read_or_written is None:
         assert manifest["checkpoint_sha"] is None

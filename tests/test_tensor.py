@@ -638,6 +638,45 @@ def _split_product(x):
     return p0 * p1 + T.gelu(p2) * p0 - p3
 
 
+# the activations on random shapes, in f64. Entries have magnitudes in
+# [0.01, 1] * scale, so none lies within h of leaky_relu's kink; softmax runs
+# over at least 2 entries and layer_norm over 3, since over fewer their
+# gradient is 0 or below the central differences' rounding noise
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(op=st.sampled_from(["gelu", "leaky_relu", "softmax", "layer_norm"]),
+       shape=st.lists(st.integers(1, 5), min_size=1, max_size=4), axis=st.integers(0, 3),
+       scale=st.floats(0.05, 4.0), slope=st.floats(0.01, 0.99),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_activation_grad_check_property(op, shape, axis, scale, slope, seed):
+    rng = make_rng(seed)
+    axis %= len(shape)
+    shape[axis] = max(shape[axis], {"softmax": 2, "layer_norm": 3}.get(op, 1))
+    mags = rng.uniform(0.01, 1.0, shape) * scale
+    x = Parameter(np.where(rng.random(shape) < 0.5, -mags, mags), "x")
+    probe = Tensor(rng.standard_normal(shape))
+    f = {"gelu": lambda: T.gelu(x), "leaky_relu": lambda: T.leaky_relu(x, slope),
+         "softmax": lambda: T.softmax(x, axis), "layer_norm": lambda: T.layer_norm(x, axis)}[op]
+    err = grad_check(lambda: T.sum_(f() * probe), [x], max_elems=12, rng=make_rng(0))
+    assert err < 1e-4, f"{op}: rel err {err}"
+
+
+# Normal draws times at most 8 keep |x| below about 40. Below -4 sqrt2 the f32
+# gelu's phi is the clamped rational's 6.7e-9, not Phi(x), so its error grows
+# as 6.7e-9 |x| and passes 6e-7 near x = -90.
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shape=st.lists(st.integers(1, 40), max_size=3), scale=st.floats(1e-3, 8.0),
+       grad=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_f32_gelu_against_f64_gelu_property(shape, scale, grad, seed):
+    x = (make_rng(seed).standard_normal(shape) * scale).astype(np.float32)
+    with precision("f32"):
+        got = T.gelu(Parameter(x, "x") if grad else Tensor(x)).data
+    want = T.gelu(Tensor(x.astype(np.float64))).data
+    assert got.dtype == np.float32 and got.shape == x.shape
+    assert np.max(np.abs(got - want)) < 6e-7
+
+
 def test_split_views_and_errors():
     x = Tensor(make_rng(3).standard_normal((2, 3, 6)))
     parts = T.split(x, 3)
