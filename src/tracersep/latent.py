@@ -129,7 +129,4 @@ def modulate(m: Tensor, latent_flat: Tensor, params: ModulationParams) -> Tensor
     if params.w.data.shape[1] != 2 * c:
         raise ValueError(f"modulation for {params.w.data.shape[1] // 2} channels "
                          f"applied to {c}-channel features")
-    affine = T.linear(latent_flat, params.w, params.b)
-    affine = T.reshape(affine, latent_flat.data.shape[:-1] + (1, 1, 2 * c))
-    scale, shift = T.split(affine, 2)
-    return scale * T.layer_norm(m, axis=-1) + shift
+    return T.layer_norm(m, axis=-1, scale_shift=T.linear(latent_flat, params.w, params.b))

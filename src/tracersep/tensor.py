@@ -424,16 +424,21 @@ def channel(a: Tensor, k: int) -> Tensor:
 # activations and normalization
 # ---------------------------------------------------------------------------
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return _flush_subnormals(e / e.sum(axis=axis, keepdims=True))
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """The input gradient of a softmax y along axis, given its output gradient g."""
+    return _flush_subnormals(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+
 def softmax(a: Tensor, axis: int) -> Tensor:
     if not -a.data.ndim <= axis < a.data.ndim:
         raise ValueError(f"axis {axis} invalid for shape {a.data.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = _flush_subnormals(e / e.sum(axis=axis, keepdims=True))
-
-    def backward(g):
-        _accum(a, _flush_subnormals(y * (g - (g * y).sum(axis=axis, keepdims=True))))
-    return _result(y, (a,), "softmax", backward)
+    y = _softmax(a.data, axis)
+    return _result(y, (a,), "softmax", lambda g: _accum(a, _softmax_grad(y, g, axis)))
 
 
 def _flush_subnormals(x: np.ndarray) -> np.ndarray:
@@ -499,21 +504,49 @@ def _gelu_f32(x: np.ndarray, keep_phi: bool) -> tuple[np.ndarray, np.ndarray | N
     return y.reshape(x.shape), phi.reshape(x.shape) if keep_phi else None
 
 
+def _gelu(x: np.ndarray, keep_phi: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(x * phi, phi), phi the exact erf-based Gaussian CDF of x, not the tanh
+    approximation; phi may be None without keep_phi. f64 takes scipy's erf,
+    f32 the fitted rational of _phi_half. scipy is imported here, not with
+    the module, so an f32 run never loads it."""
+    if x.dtype == np.float32:
+        return _gelu_f32(x, keep_phi)
+    from scipy.special import erf
+    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return x * phi, phi
+
+
+def _gelu_slope(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """d gelu / dx = phi + x * pdf at x."""
+    pdf = _INV_SQRT2PI * np.exp(-0.5 * x * x)
+    return phi + x * pdf
+
+
 def gelu(a: Tensor) -> Tensor:
-    # exact erf-based Gaussian CDF, not the tanh approximation; f64 takes
-    # scipy's erf, f32 the fitted rational of _phi_half. scipy is imported
-    # here, not with the module, so an f32 run never loads it.
-    if a.data.dtype == np.float32:
-        y, phi = _gelu_f32(a.data, keep_phi=_state["grad"] and a.requires_grad)
-    else:
-        from scipy.special import erf
-        phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-        y = a.data * phi
+    y, phi = _gelu(a.data, keep_phi=_state["grad"] and a.requires_grad)
+    return _result(y, (a,), "gelu", lambda g: _accum(a, g * _gelu_slope(a.data, phi)))
+
+
+def geglu(a: Tensor) -> Tensor:
+    """gelu(gate) * value for a = gate | value, the two halves of a's last axis.
+
+    One node, whose backward keeps phi(gate) but not gelu(gate): it makes
+    gelu(gate) again as gate * phi, the product the forward rounded, so the
+    output and gradients are bytewise those of `gelu` and `mul` on the
+    `split` halves.
+    """
+    if a.data.shape[-1] % 2:
+        raise ValueError(f"last axis of {a.data.shape} does not split into gate | value")
+    h = a.data.shape[-1] // 2
+    gate, val = a.data[..., :h], a.data[..., h:]
+    y, phi = _gelu(gate, keep_phi=_state["grad"] and a.requires_grad)
+    y *= val
 
     def backward(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-        _accum(a, g * (phi + a.data * pdf))
-    return _result(y, (a,), "gelu", backward)
+        buf = _grad(a)
+        buf[..., :h] += (g * val) * _gelu_slope(gate, phi)
+        buf[..., h:] += g * (gate * phi)
+    return _result(y, (a,), "geglu", backward)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
@@ -527,18 +560,127 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     return _result(np.maximum(a.data, slope * a.data), (a,), "leaky_relu", backward)
 
 
-def layer_norm(a: Tensor, axis: int, epsilon: float = 1e-5) -> Tensor:
-    """Parameter-free per-position normalization over `axis` (population variance)."""
-    d = a.data - a.data.mean(axis=axis, keepdims=True)
+def layer_norm(a: Tensor, axis: int, epsilon: float = 1e-5,
+               scale_shift: Tensor | None = None) -> Tensor:
+    """Per-position normalization y over `axis` (population variance).
+
+    Without scale_shift the output is y. With it, `axis` is a's last, of C
+    entries, and scale_shift is a (..., 2C) row scale | shift whose leading
+    axes are a's first ones; the output is scale * y + shift, broadcast over
+    a's remaining axes. That is one node, whose output and gradients are
+    bytewise those of layer_norm, mul and add on the split halves. It keeps
+    neither y nor scale * y: its backward makes y again from a, the same
+    arithmetic as the forward's.
+    """
+    mean = a.data.mean(axis=axis, keepdims=True)
+    d = a.data - mean
     var = (d * d).mean(axis=axis, keepdims=True)  # np.var's arithmetic, one pass fewer
     inv = 1.0 / np.sqrt(var + epsilon)
-    y = d * inv
+    out, prev = d * inv, (a,)
+    if scale_shift is not None:
+        c, lead = a.data.shape[-1], scale_shift.data.shape[:-1]
+        if (axis % a.data.ndim != a.data.ndim - 1 or scale_shift.data.shape[-1] != 2 * c
+                or a.data.shape[:len(lead)] != lead):
+            raise ValueError(f"scale | shift {scale_shift.data.shape} vs layer_norm of "
+                             f"{a.data.shape} over axis {axis}")
+        # the row with a singleton for each axis of a it broadcasts over
+        row = lead + (1,) * (a.data.ndim - len(lead) - 1) + (2 * c,)
+        scale, shift = np.split(scale_shift.data.reshape(row), 2, axis=-1)
+        out *= scale
+        out += shift
+        prev = (a, scale_shift)
 
     def backward(g):
-        gm = g.mean(axis=axis, keepdims=True)
-        gym = (g * y).mean(axis=axis, keepdims=True)
-        _accum(a, inv * (g - gm - y * gym))
-    return _result(y, (a,), "layer_norm", backward)
+        y = out
+        if scale_shift is not None:
+            y = (a.data - mean) * inv
+            if scale_shift.requires_grad:
+                buf = _grad(scale_shift).reshape(row)
+                buf[..., :c] += _unbroadcast(g * y, scale.shape)
+                buf[..., c:] += _unbroadcast(g, shift.shape)
+            g = g * scale
+        if a.requires_grad:
+            gm = g.mean(axis=axis, keepdims=True)
+            gym = (g * y).mean(axis=axis, keepdims=True)
+            _accum(a, inv * (g - gm - y * gym))
+    return _result(out, prev, "layer_norm", backward)
+
+
+# ---------------------------------------------------------------------------
+# channel attention
+# ---------------------------------------------------------------------------
+
+def _permute_last(x: np.ndarray, perm: tuple) -> np.ndarray:
+    """x with its last len(perm) axes permuted by perm; leading axes stay."""
+    n = x.ndim - len(perm)
+    return x.transpose(tuple(range(n)) + tuple(n + p for p in perm))
+
+
+def _qkv_heads(qkv: np.ndarray, heads: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-head views q, k, v of a (..., H, W, 3C) q | k | v map: q as
+    (..., heads, H*W, C/heads), k and v as (..., heads, C/heads, H*W). They
+    are views when qkv is C-contiguous, as a gradient buffer always is."""
+    *lead, h, w, c3 = qkv.shape
+    x = qkv.reshape(*lead, h * w, 3, heads, c3 // (3 * heads))
+    q, k, v = (x[..., i, :, :] for i in range(3))
+    return _permute_last(q, (1, 0, 2)), _permute_last(k, (1, 2, 0)), _permute_last(v, (1, 2, 0))
+
+
+def _attention_weights(qkv: np.ndarray, gamma: np.ndarray, eps: float) -> tuple:
+    """(q, k, v head views, |gamma| + eps, scores k q^T, their softmax)."""
+    q, k, v = _qkv_heads(qkv, gamma.shape[0])
+    scale = np.abs(gamma) + np.asarray(eps, gamma.dtype)
+    scores = np.matmul(k, q)
+    return q, k, v, scale, scores, _softmax(scores / scale, -1)
+
+
+def _check_attention(qkv: Tensor, gamma: Tensor) -> None:
+    heads = gamma.data.shape[0]
+    if (qkv.data.ndim < 3 or gamma.data.shape != (heads, 1, 1)
+            or qkv.data.shape[-1] % (3 * heads)):
+        raise ValueError(f"q | k | v map {qkv.data.shape} does not split into 3 x "
+                         f"{heads} heads of gamma {gamma.data.shape}")
+
+
+def attention_weights(qkv: Tensor, gamma: Tensor, eps: float) -> Tensor:
+    """The per-head maps (..., heads, C/heads, C/heads) that `channel_attention`
+    mixes v's channels with; each row sums to 1. It records no graph."""
+    _check_attention(qkv, gamma)
+    return _result(_attention_weights(qkv.data, gamma.data, eps)[-1], (), "attention_weights")
+
+
+def channel_attention(qkv: Tensor, gamma: Tensor, eps: float) -> Tensor:
+    """Transposed attention of a (..., H, W, 3C) q | k | v map: the (..., H,
+    W, C) map whose channels are v's, mixed within each head by
+    softmax(k q^T / (|gamma| + eps)), with gamma (heads, 1, 1).
+
+    One node, whose output and gradients are bytewise those of the split,
+    reshape, transpose, abs, add, matmul, div and softmax nodes it replaces.
+    Its output is a view of the mixed map's (..., heads, C/heads, H*W) array;
+    besides it, the node keeps only the per-head scores and weights.
+    """
+    _check_attention(qkv, gamma)
+    *lead, h, w, c3 = qkv.data.shape
+    heads = gamma.data.shape[0]
+    q, k, v, scale, scores, attn = _attention_weights(qkv.data, gamma.data, eps)
+    mixed = np.matmul(attn, v)  # (..., heads, C/heads, H*W)
+    out = _permute_last(mixed, (2, 0, 1)).reshape(*lead, h, w, c3 // 3)
+
+    def backward(g):
+        # the mixed map's gradient in the mixed map's layout, one C-ordered copy
+        g = g.reshape(*lead, h * w, heads, c3 // (3 * heads))
+        gm = np.ascontiguousarray(_permute_last(g, (1, 2, 0)))
+        gs = _softmax_grad(attn, np.matmul(gm, v.swapaxes(-1, -2)), -1)
+        g_scores = gs / scale
+        if gamma.requires_grad:
+            g_scale = _unbroadcast(-gs * scores / (scale * scale), scale.shape)
+            _accum(gamma, g_scale * np.sign(gamma.data))
+        if qkv.requires_grad:
+            gq, gk, gv = _qkv_heads(_grad(qkv), heads)
+            gv += np.matmul(attn.swapaxes(-1, -2), gm)
+            gk += np.matmul(g_scores, q.swapaxes(-1, -2))
+            gq += np.matmul(k.swapaxes(-1, -2), g_scores)
+    return _result(out, (qkv, gamma), "channel_attention", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +719,12 @@ def pixel_shuffle(a: Tensor, r: int) -> Tensor:
 # convolutions (spatial extents preserved, 3x3 zero padded)
 # ---------------------------------------------------------------------------
 
-def conv2d(x: Tensor, kernel: Tensor, mode: str, bias: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor, mode: str, bias: Tensor | None = None,
+           residual: Tensor | None = None) -> Tensor:
     """2-D convolution on (..., H, W, C) maps, each map of the leading axes on
     its own; 3x3 kernels see zeros outside the map. The bias, one per output
-    channel, is added inside the kernel, so a biased conv is one node.
+    channel, and then the residual, a map of the output's shape, are added
+    inside the kernel, so a biased conv with a residual is one node.
 
     modes: 'pointwise_1x1' kernel (Cin, Cout); 'depthwise_3x3' kernel (3, 3, C);
     'full_3x3' kernel (3, 3, Cin, Cout).
@@ -588,11 +732,11 @@ def conv2d(x: Tensor, kernel: Tensor, mode: str, bias: Tensor | None = None) -> 
     if x.data.ndim < 3:
         raise ValueError(f"conv2d expects (..., H, W, C) maps, got shape {x.data.shape}")
     if mode == "pointwise_1x1":
-        return _dense(x, kernel, bias, "conv1x1")
+        return _dense(x, kernel, bias, "conv1x1", residual)
     if mode == "depthwise_3x3":
-        return _conv_depthwise(x, kernel, bias)
+        return _conv_depthwise(x, kernel, bias, residual)
     if mode == "full_3x3":
-        return _conv_full3x3(x, kernel, bias)
+        return _conv_full3x3(x, kernel, bias, residual)
     raise ValueError(f"unknown conv mode {mode!r}")
 
 
@@ -614,21 +758,32 @@ def _windows(xs: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
 
 
-def _conv3x3(x: Tensor, k: Tensor, bias: Tensor | None, op: str, y: np.ndarray,
-             backward: Callable[[np.ndarray], None]) -> Tensor:
-    """The node of a 3x3 kernel's output y, of x's leading shape: the bias is
-    added to y in place, and its gradient is the output gradient summed back
-    to the bias's shape. backward(g) handles x and k."""
+def _kernel_node(x: Tensor, k: Tensor, bias: Tensor | None, residual: Tensor | None,
+                 op: str, y: np.ndarray, backward: Callable[[np.ndarray], None]) -> Tensor:
+    """The node of a kernel's output y, given as rows of x's leading shape:
+    the bias and then the residual are added to y in place. The bias's
+    gradient is the output gradient summed back to its shape, the residual's
+    is the output gradient itself, and backward(g) handles x and k."""
     y = y.reshape(x.data.shape[:-1] + y.shape[-1:])
-    if bias is None:
-        return _result(y, (x, k), op, backward)
-    y += bias.data
+    prev = [x, k]
+    if bias is not None:
+        y += bias.data
+        prev.append(bias)
+    if residual is not None:
+        if residual.data.shape != y.shape:
+            raise ValueError(f"{op}: residual {residual.data.shape} vs output {y.shape}")
+        y += residual.data
+        prev.append(residual)
+    if len(prev) == 2:
+        return _result(y, prev, op, backward)
 
-    def biased(g):
-        if bias.requires_grad:
+    def with_addends(g):
+        if bias is not None and bias.requires_grad:
             _accum(bias, _unbroadcast(g, bias.data.shape))
+        if residual is not None:
+            _accum(residual, g)
         backward(g)
-    return _result(y, (x, k, bias), op, biased)
+    return _result(y, prev, op, with_addends)
 
 
 def _window_rows(xs: np.ndarray) -> np.ndarray:
@@ -653,7 +808,8 @@ def _depthwise_rows(xs: np.ndarray, k: np.ndarray) -> np.ndarray:
     return y.reshape(n, h, w, c)
 
 
-def _conv_depthwise(x: Tensor, k: Tensor, bias: Tensor | None) -> Tensor:
+def _conv_depthwise(x: Tensor, k: Tensor, bias: Tensor | None,
+                    residual: Tensor | None) -> Tensor:
     xs = _items(x.data)
     c = xs.shape[3]
     if k.data.shape != (3, 3, c):
@@ -671,7 +827,7 @@ def _conv_depthwise(x: Tensor, k: Tensor, bias: Tensor | None) -> Tensor:
         if x.requires_grad:
             _accum(x, _depthwise_rows(gs, k.data[::-1, ::-1]).reshape(x.data.shape))
     y = _depthwise_rows(xs, k.data)
-    return _conv3x3(x, k, bias, "conv_dw3x3", y, backward)
+    return _kernel_node(x, k, bias, residual, "conv_dw3x3", y, backward)
 
 
 def _cols(xs: np.ndarray) -> np.ndarray:
@@ -681,7 +837,8 @@ def _cols(xs: np.ndarray) -> np.ndarray:
     return _windows(xs).transpose(0, 1, 2, 4, 5, 3).reshape(-1, 9 * xs.shape[3])
 
 
-def _conv_full3x3(x: Tensor, k: Tensor, bias: Tensor | None) -> Tensor:
+def _conv_full3x3(x: Tensor, k: Tensor, bias: Tensor | None,
+                  residual: Tensor | None) -> Tensor:
     xs = _items(x.data)
     ci = xs.shape[3]
     if k.data.ndim != 4 or k.data.shape[:3] != (3, 3, ci):
@@ -700,7 +857,7 @@ def _conv_full3x3(x: Tensor, k: Tensor, bias: Tensor | None) -> Tensor:
             _accum(x, (_cols(gs) @ flipped).reshape(x.data.shape))
     # one GEMM over the window rows, not a matmul per tap
     y = _cols(xs) @ k.data.reshape(9 * ci, co)
-    return _conv3x3(x, k, bias, "conv3x3", y, backward)
+    return _kernel_node(x, k, bias, residual, "conv3x3", y, backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -708,18 +865,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _dense(x, weight, bias, "linear")
 
 
-def _dense(x: Tensor, w: Tensor, bias: Tensor | None, op: str) -> Tensor:
-    """x @ w (+ bias) over x's last axis, x's leading axes flattened into rows.
+def _dense(x: Tensor, w: Tensor, bias: Tensor | None, op: str,
+           residual: Tensor | None = None) -> Tensor:
+    """x @ w (+ bias) (+ residual) over x's last axis, x's leading axes
+    flattened into rows.
 
     The one dense kernel, under `linear` and the pointwise convolution: one
-    GEMM over the rows, with the bias added in place.
+    GEMM over the rows, with the addends added in place.
     """
     if x.data.ndim < 1 or w.data.ndim != 2 or w.data.shape[0] != x.data.shape[-1]:
         raise ValueError(f"{op}: input {x.data.shape} vs weight {w.data.shape}")
     rows = x.data.reshape(-1, w.data.shape[0])
-    y = rows @ w.data
-    if bias is not None:
-        y += bias.data
 
     def backward(g):
         g = g.reshape(-1, g.shape[-1])
@@ -727,10 +883,7 @@ def _dense(x: Tensor, w: Tensor, bias: Tensor | None, op: str) -> Tensor:
             _accum(x, (g @ w.data.T).reshape(x.data.shape))
         if w.requires_grad:
             _accum(w, rows.T @ g)
-        if bias is not None and bias.requires_grad:
-            _accum(bias, _unbroadcast(g, bias.data.shape))
-    prev = (x, w) if bias is None else (x, w, bias)
-    return _result(y.reshape(x.data.shape[:-1] + (-1,)), prev, op, backward)
+    return _kernel_node(x, w, bias, residual, op, rows @ w.data, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,18 @@ shift (see `latent.ModulationParams`). Residuals bypass the prior
 modulation, so zeroed output projections reduce every block to identity.
 Feature maps are (..., H, W, C) and latents (..., L): any leading axes are a
 batch, each item attended to and modulated on its own.
+
+In a training graph a block is 12 op nodes and its 11 parameters: per
+modulation a `linear` and a `layer_norm` that applies scale | shift; per
+sub-block the 1x1 and depthwise convs, then `channel_attention` or `geglu`,
+then the output 1x1, which adds the residual in place. With a hidden width
+h, the arrays the graph keeps for a block are 11 C-channel maps and 6
+h-channel ones: the two modulated maps, the 3C pointwise and depthwise
+outputs, the attention's output, the two residual sums, the 2h pointwise
+and depthwise outputs, and the gate's output and its phi. Each array is
+read by some backward. Before these ops were fused a block was 43 op
+nodes, and it also kept the normalized maps, their scaled copies, the
+output 1x1s before the residual add, and gelu(gate).
 """
 from __future__ import annotations
 
@@ -93,61 +105,32 @@ class BlockParams(T.Module):
         self.ffn = FeedForwardParams(channels, expansion, rng, f"{prefix}.ffn")
 
 
-def _permute_last(x: Tensor, perm: tuple) -> Tensor:
-    """x with its last len(perm) axes permuted by perm; leading axes stay."""
-    n = x.data.ndim - len(perm)
-    return T.transpose(x, tuple(range(n)) + tuple(n + p for p in perm))
-
-
-def _heads_view(x: Tensor, heads: int, perm: tuple = (1, 2, 0)) -> Tensor:
-    """(..., H, W, C) as (..., H*W, heads, C/heads) with its last three axes
-    permuted by perm in one transpose; by default (..., heads, C/heads, H*W)."""
-    *lead, h, w, c = x.data.shape
-    y = T.reshape(x, (*lead, h * w, heads, c // heads))
-    return _permute_last(y, perm)
-
-
-def _project(m: Tensor, pw: Parameter, dw: Parameter, parts: int) -> list[Tensor]:
-    """One 1x1 then depthwise 3x3 chain, split into `parts` equal channel groups."""
-    y = T.conv2d(T.conv2d(m, pw, "pointwise_1x1"), dw, "depthwise_3x3")
-    return T.split(y, parts)
-
-
-def _channel_attention(q: Tensor, k: Tensor, params: AttentionParams) -> Tensor:
-    kh = _heads_view(k, params.heads)
-    qh = _heads_view(q, params.heads, (1, 0, 2))  # (..., heads, HW, C/h)
-    gamma_div = T.abs_(params.gamma) + GAMMA_EPS
-    scores = T.matmul(kh, qh) / gamma_div
-    return T.softmax(scores, axis=-1)
+def _project(m: Tensor, pw: Parameter, dw: Parameter) -> Tensor:
+    """One 1x1 then depthwise 3x3 chain."""
+    return T.conv2d(T.conv2d(m, pw, "pointwise_1x1"), dw, "depthwise_3x3")
 
 
 def attention_map(m: Tensor, params: AttentionParams) -> Tensor:
-    """Per-head channel attention map (..., heads, C/h, C/h); rows sum to 1."""
-    q, k, _ = _project(m, params.qkv_pw, params.qkv_dw, 3)
-    return _channel_attention(q, k, params)
+    """Per-head channel attention map (..., heads, C/h, C/h); rows sum to 1.
+    It is for inspection and records no graph."""
+    return T.attention_weights(_project(m, params.qkv_pw, params.qkv_dw), params.gamma,
+                               GAMMA_EPS)
 
 
 def mdta(m: Tensor, params: AttentionParams, residual: Tensor | None = None) -> Tensor:
     """Multi-head transposed attention; residual defaults to the input itself."""
-    *lead, h, w, c = m.data.shape
-    heads = params.heads
-    if c % heads:
-        raise ValueError(f"{heads} heads do not divide {c} channels")
-    q, k, v = _project(m, params.qkv_pw, params.qkv_dw, 3)
-    attn = _channel_attention(q, k, params)
-    vh = _heads_view(v, heads)
-    mixed = T.matmul(attn, vh)  # (..., heads, C/h, HW)
-    y = T.reshape(_permute_last(mixed, (2, 0, 1)), (*lead, h, w, c))
-    y = T.conv2d(y, params.out_pw, "pointwise_1x1")
-    return y + (m if residual is None else residual)
+    y = T.channel_attention(_project(m, params.qkv_pw, params.qkv_dw), params.gamma,
+                            GAMMA_EPS)
+    return T.conv2d(y, params.out_pw, "pointwise_1x1",
+                    residual=m if residual is None else residual)
 
 
 def gdfn(m: Tensor, params: FeedForwardParams, residual: Tensor | None = None) -> Tensor:
-    """Gated feed-forward: gate, val = split(dw(pw(m))); GELU(gate) * val -> 1x1,
-    plus residual."""
-    gate, val = _project(m, params.in_pw, params.in_dw, 2)
-    y = T.conv2d(T.gelu(gate) * val, params.out_pw, "pointwise_1x1")
-    return y + (m if residual is None else residual)
+    """Gated feed-forward: GELU(gate) * val for gate | val = dw(pw(m)), then a
+    1x1, plus residual."""
+    y = T.geglu(_project(m, params.in_pw, params.in_dw))
+    return T.conv2d(y, params.out_pw, "pointwise_1x1",
+                    residual=m if residual is None else residual)
 
 
 def transformer_block(m: Tensor, latent_flat: Tensor, params: BlockParams) -> Tensor:

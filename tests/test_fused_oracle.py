@@ -1,12 +1,19 @@
-"""The fused block parameters against the per-branch formulation they replace.
+"""The fused block against the formulations it replaces.
 
 Each block path used to keep one parameter per branch: separate q, k and v
 1x1 + depthwise chains in attention, separate gate and value chains in the
 feed-forward network, and separate scale and shift maps in the modulation.
-The reference classes and functions below keep that formulation. The tests
-feed them slices of the fused tensors and require the same outputs and
-gradients, and require the fused init to draw the same numbers as the
+The per-branch reference classes and functions below keep that formulation.
+The tests feed them slices of the fused tensors and require the same outputs
+and gradients, and require the fused init to draw the same numbers as the
 per-branch init did.
+
+The block then fused its ops: the modulation is one layer_norm node, the
+attention core one channel_attention node, the gate one geglu node, and each
+residual is added inside the output 1x1. The unfused reference below keeps
+the block as split, reshape, transpose, matmul, softmax, gelu, mul and add
+nodes on the fused parameters; f32 toy training and `separate` through it
+must give the same bytes.
 """
 import contextlib
 from types import SimpleNamespace
@@ -17,9 +24,10 @@ import pytest
 from tracersep import tensor as T
 from tracersep import transformer
 from tracersep.diffusion import Denoiser
+from tracersep.evaluation import PhantomSpec, gen_phantom
 from tracersep.latent import ModulationParams, PriorEncoder, modulate
-from tracersep.pipeline import ModelConfig, SeparationModel
-from tracersep.tensor import Parameter, Tensor, make_rng, precision
+from tracersep.pipeline import ModelConfig, SeparationModel, TrainConfig, separate, train_step
+from tracersep.tensor import Adam, Parameter, Tensor, make_rng, precision
 from tracersep.transformer import (GAMMA_EPS, AttentionParams, BlockParams,
                                    FeedForwardParams, UNet, gdfn, mdta,
                                    transformer_block)
@@ -80,16 +88,28 @@ def _chain(m, pw, dw):
     return T.conv2d(T.conv2d(m, pw, "pointwise_1x1"), dw, "depthwise_3x3")
 
 
+def _permute_last(x, perm):
+    n = x.data.ndim - len(perm)
+    return T.transpose(x, tuple(range(n)) + tuple(n + p for p in perm))
+
+
+def _heads_view(x, heads, perm=(1, 2, 0)):
+    """(..., H, W, C) as (..., H*W, heads, C/heads) with its last three axes
+    permuted by perm in one transpose; by default (..., heads, C/heads, H*W)."""
+    *lead, h, w, c = x.data.shape
+    return _permute_last(T.reshape(x, (*lead, h * w, heads, c // heads)), perm)
+
+
 def ref_mdta(m, p, residual=None):
     h, w, c = m.data.shape
     heads = p.heads
     q = _chain(m, p.q_pw, p.q_dw)
     k = _chain(m, p.k_pw, p.k_dw)
-    kh = transformer._heads_view(k, heads)
-    qh = T.transpose(transformer._heads_view(q, heads), (0, 2, 1))
+    kh = _heads_view(k, heads)
+    qh = T.transpose(_heads_view(q, heads), (0, 2, 1))
     scores = T.matmul(kh, qh) / (T.abs_(p.gamma) + GAMMA_EPS)
     attn = T.softmax(scores, axis=-1)
-    vh = transformer._heads_view(_chain(m, p.v_pw, p.v_dw), heads)
+    vh = _heads_view(_chain(m, p.v_pw, p.v_dw), heads)
     y = T.reshape(T.transpose(T.matmul(attn, vh), (2, 0, 1)), (h, w, c))
     y = T.conv2d(y, p.out_pw, "pointwise_1x1")
     return y + (m if residual is None else residual)
@@ -113,6 +133,49 @@ def ref_modulate(m, latent_flat, p, epsilon=1e-5):
 def ref_block(m, latent_flat, p):
     m = ref_mdta(ref_modulate(m, latent_flat, p.mod1), p.attn, residual=m)
     return ref_gdfn(ref_modulate(m, latent_flat, p.mod2), p.ffn, residual=m)
+
+
+# -- unfused reference: the fused parameters through unfused ops -----------
+
+def unfused_modulate(m, latent_flat, params):
+    c = m.data.shape[-1]
+    affine = T.linear(latent_flat, params.w, params.b)
+    affine = T.reshape(affine, latent_flat.data.shape[:-1] + (1, 1, 2 * c))
+    scale, shift = T.split(affine, 2)
+    return scale * T.layer_norm(m, axis=-1) + shift
+
+
+def unfused_mdta(m, params, residual=None):
+    *lead, h, w, c = m.data.shape
+    heads = params.heads
+    q, k, v = T.split(_chain(m, params.qkv_pw, params.qkv_dw), 3)
+    kh = _heads_view(k, heads)
+    qh = _heads_view(q, heads, (1, 0, 2))  # (..., heads, HW, C/h)
+    scores = T.matmul(kh, qh) / (T.abs_(params.gamma) + GAMMA_EPS)
+    attn = T.softmax(scores, axis=-1)
+    mixed = T.matmul(attn, _heads_view(v, heads))  # (..., heads, C/h, HW)
+    y = T.reshape(_permute_last(mixed, (2, 0, 1)), (*lead, h, w, c))
+    y = T.conv2d(y, params.out_pw, "pointwise_1x1")
+    return y + (m if residual is None else residual)
+
+
+def unfused_gdfn(m, params, residual=None):
+    gate, val = T.split(_chain(m, params.in_pw, params.in_dw), 2)
+    y = T.conv2d(T.gelu(gate) * val, params.out_pw, "pointwise_1x1")
+    return y + (m if residual is None else residual)
+
+
+def use_unfused_block(monkeypatch):
+    """transformer_block, and through it the U-net, runs the unfused ops;
+    returns the list that records the name of each unfused call."""
+    calls = []
+    for name, unfused in (("modulate", unfused_modulate), ("mdta", unfused_mdta),
+                          ("gdfn", unfused_gdfn)):
+        def counted(*args, name=name, unfused=unfused, **kwargs):
+            calls.append(name)
+            return unfused(*args, **kwargs)
+        monkeypatch.setattr(transformer, name, counted)
+    return calls
 
 
 # -- helpers ----------------------------------------------------------------
@@ -316,3 +379,55 @@ def test_unet_init_draws_modulation_like_per_branch(monkeypatch):
     assert np.any(_blocks(unet)[0].mod1.w.data != 0.0)
     assert_bit_equal(unet.parameters(),
                      expected_fused(unet, ref, ref.parameters()))
+
+
+# -- the fused ops are bytewise the unfused ones ---------------------------
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["lead0", "lead1"])
+def test_fused_block_is_bytewise_the_unfused_ops(monkeypatch, prec, lead):
+    rng = make_rng(38)
+    with precision(prec):
+        params = BlockParams(8, 2, 6, 2.0, make_rng(39), "blk")
+        enliven(params.mod1, rng)
+        enliven(params.mod2, rng)
+        m = Parameter(rng.standard_normal(lead + (4, 5, 8)), "m")
+        latent = Parameter(rng.standard_normal(lead + (6,)), "latent")
+        probe = Tensor(rng.standard_normal(lead + (4, 5, 8)))
+        inputs = [m, latent] + params.parameters()
+
+        def run():
+            for p in inputs:
+                p.grad = None
+            out = transformer_block(m, latent, params)
+            T.sum_(out * probe).backward()
+            return [a.tobytes() for a in [out.data] + [p.grad for p in inputs]]
+
+        got = run()
+        calls = use_unfused_block(monkeypatch)
+        want = run()
+    assert sorted(calls) == ["gdfn", "mdta", "modulate", "modulate"]
+    assert got == want
+
+
+def test_toy_training_and_separate_are_bytewise_those_of_the_unfused_block(monkeypatch):
+    # 5 f32 steps of the acceptance gate's toy recipe, then a separate of a
+    # held-out phantom: same losses, parameter bytes and output bytes
+    def run():
+        model = SeparationModel(ModelConfig(**TOY, diffusion_steps=4, init_seed=2))
+        cfg = TrainConfig()
+        opt = Adam(model.parameters(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
+                   eps=cfg.eps)
+        rng = make_rng(0)
+        pairs = [gen_phantom(s, PhantomSpec(size=32)) for s in range(4)]
+        losses = [train_step(pairs, model, opt, cfg, rng, step, cfg.steps)
+                  for step in range(5)]
+        fused, raw, latent = separate(gen_phantom(9, PhantomSpec(size=32)).dual, model, 9)
+        return (losses, [p.data.tobytes() for p in model.parameters()],
+                [a.tobytes() for a in fused + raw + [latent]])
+
+    got = run()
+    calls = use_unfused_block(monkeypatch)
+    want = run()
+    assert calls
+    assert got == want

@@ -508,13 +508,64 @@ TOY_MODEL = dict(d=32, n_tracers=2, lpeb_width=32, denoiser_hidden=256,
                  gdfn_expansion=4.0, init_seed=2)
 
 
+def _toy_training_graph():
+    model = SeparationModel(ModelConfig(**TOY_MODEL))
+    dm, tm = pipeline._batch_losses(tiny_pairs(4, size=32), model, make_rng(0),
+                                    teacher_forcing=False)
+    return dm + tm
+
+
+def held_bytes(root):
+    """Bytes of the distinct arrays a graph holds at backward start: each
+    node's data and every array its backward closure keeps (such as gelu's
+    phi), each view counted as the array it views, once."""
+    arrays, closures = {}, set()
+
+    def hold(arr):
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        arrays[id(arr)] = arr.nbytes
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            hold(obj)
+        elif isinstance(obj, Tensor):
+            hold(obj.data)
+        elif isinstance(obj, (list, tuple)):
+            for x in obj:
+                visit(x)
+        elif getattr(obj, "__closure__", None) and id(obj) not in closures:
+            closures.add(id(obj))
+            for cell in obj.__closure__:
+                visit(cell.cell_contents)
+
+    for node in T.topological_order(root):
+        hold(node.data)
+        visit(node._backward)
+    return sum(arrays.values())
+
+
 def test_toy_training_graph_size_is_pinned():
     # A ratchet on the nodes of one toy training graph (batch 4, 32x32): a
     # change that removes nodes lowers the pin, one that adds nodes says why.
-    model = SeparationModel(ModelConfig(**TOY_MODEL))
-    pairs = tiny_pairs(4, size=32)
-    dm, tm = pipeline._batch_losses(pairs, model, make_rng(0), teacher_forcing=False)
-    assert len(T.topological_order(dm + tm)) == 337
+    assert len(T.topological_order(_toy_training_graph())) == 244
+
+
+def test_toy_training_graph_held_bytes_are_pinned():
+    # A ratchet on the bytes the same graph holds when its backward starts,
+    # parameters (834,360 bytes) included: a change that keeps fewer arrays
+    # lowers the pin, one that keeps more says why.
+    assert held_bytes(_toy_training_graph()) == 18_993_192
+
+
+def test_held_bytes_counts_views_once_and_closure_arrays():
+    # f32: x (80 bytes), its reshape (a view), the product (80) and the 2.0
+    # const that mul's closure keeps (4), a split view, the gelu output and
+    # the phi its closure keeps (40 each), the sum (4)
+    x = Parameter(np.ones((4, 5)), "x")
+    y = T.reshape(x, (20,)) * 2.0
+    g = T.gelu(T.split(y, 2)[0])
+    assert held_bytes(T.sum_(g)) == 80 + 80 + 4 + 40 + 40 + 4
 
 
 def test_toy_training_is_bytewise_that_of_the_per_pixel_depthwise_kernel(monkeypatch):

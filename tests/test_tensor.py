@@ -589,7 +589,8 @@ def test_grad_check_softmax_sum_is_constant():
 @pytest.mark.parametrize("op", [
     "add", "sub", "mul", "div", "abs", "matmul", "mean", "softmax", "gelu",
     "leaky_relu", "layer_norm", "unshuffle", "conv_pw", "conv_dw",
-    "conv_full", "transpose_concat", "channel", "split",
+    "conv_full", "transpose_concat", "channel", "split", "layer_norm_scale_shift",
+    "geglu", "conv_pw_residual", "channel_attention",
 ])
 def test_grad_check_op_family(op):
     # a stable per-op seed: hash() of a str changes with PYTHONHASHSEED
@@ -599,6 +600,12 @@ def test_grad_check_op_family(op):
     kpw = Parameter(rng.standard_normal((2, 3)), "kpw")
     kdw = Parameter(rng.standard_normal((3, 3, 2)), "kdw")
     kfull = Parameter(rng.standard_normal((3, 3, 2, 2)), "kfull")
+    ss = Parameter(rng.standard_normal((4, 8)), "ss")  # scale | shift per row of a | b
+    ksq = Parameter(rng.standard_normal((2, 2)), "ksq")
+    # q | k | v, 2 heads of 2 channels, small enough that the softmax over
+    # 16 pixels' products does not saturate
+    kqkv = Parameter(0.3 * rng.standard_normal((2, 12)), "kqkv")
+    gamma = Parameter(np.array([1.5, -2.5]).reshape(2, 1, 1), "gamma")
     builders = {
         "add": (lambda: T.sum_((a + b) * (a + b)), [a, b]),
         "sub": (lambda: T.sum_((a - b) * (a - b)), [a, b]),
@@ -626,6 +633,15 @@ def test_grad_check_op_family(op):
                        axis=0)), [a, b]),
         "channel": (lambda: T.sum_(T.channel(a, 1) * T.channel(b, 0)), [a, b]),
         "split": (lambda: T.sum_(_split_product(T.concat([a, b], axis=2))), [a, b]),
+        "layer_norm_scale_shift": (lambda: T.sum_(
+            T.layer_norm(T.concat([a, b], axis=2), axis=2, scale_shift=ss)
+            * T.concat([b, a], axis=2)), [a, b, ss]),
+        "geglu": (lambda: T.sum_(T.geglu(T.concat([a, b], axis=2)) * a), [a, b]),
+        "conv_pw_residual": (lambda: T.sum_(
+            T.conv2d(a, ksq, "pointwise_1x1", residual=b) * a), [a, ksq, b]),
+        "channel_attention": (lambda: T.sum_(
+            T.channel_attention(T.conv2d(a, kqkv, "pointwise_1x1"), gamma, 1e-8)
+            * T.concat([a, b], axis=2)), [a, b, kqkv, gamma]),
     }
     f, params = builders[op]
     err = grad_check(f, params, h=1e-5, max_elems=12, rng=make_rng(0))
@@ -750,6 +766,51 @@ def test_biased_conv_is_one_node_bytewise_conv_plus_add(prec, lead, kshape):
         want, _ = run(lambda: T.add(T.conv2d(x, k, mode), b))
     assert len(inputs) == 3 and all(p is q for p, q in zip(inputs, (x, k, b)))
     assert got == want
+
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["lead0", "lead1"])
+@pytest.mark.parametrize("kshape", [(4, 3), (3, 3, 4), (3, 3, 4, 3)],
+                         ids=["pointwise_1x1", "depthwise_3x3", "full_3x3"])
+def test_conv_with_residual_is_one_node_bytewise_conv_plus_adds(prec, lead, kshape):
+    # bias and residual inside the kernel against a conv node and two add
+    # nodes: output and every gradient must be the same bytes
+    rng = make_rng(40 + len(lead) * 10 + len(kshape))
+    shape = lead + (5, 6, 4)
+    mode = "pointwise_1x1" if len(kshape) == 2 else _mode(np.zeros(kshape))
+    with precision(prec):
+        x = Parameter(rng.standard_normal(shape), "x")
+        k = Parameter(rng.standard_normal(kshape), "k")
+        b = Parameter(rng.standard_normal(kshape[-1]), "b")
+        r = Parameter(rng.standard_normal(shape[:-1] + kshape[-1:]), "r")
+        probe = Tensor(rng.standard_normal(shape[:-1] + kshape[-1:]))
+
+        def run(conv):
+            for p in (x, k, b, r):
+                p.grad = None
+            y = conv()
+            inputs = y._prev
+            T.sum_(y * probe).backward()
+            return [a.tobytes() for a in (y.data, x.grad, k.grad, b.grad, r.grad)], inputs
+
+        got, inputs = run(lambda: T.conv2d(x, k, mode, b, residual=r))
+        want, _ = run(lambda: T.add(T.add(T.conv2d(x, k, mode), b), r))
+    assert len(inputs) == 4 and all(p is q for p, q in zip(inputs, (x, k, b, r)))
+    assert got == want
+
+
+def test_fused_op_shape_errors():
+    x = Tensor(np.zeros((2, 4, 4, 6)))
+    with pytest.raises(ValueError):  # residual of another shape
+        T.conv2d(x, Tensor(np.zeros((6, 3))), "pointwise_1x1", residual=x)
+    for ss, axis in (((2, 6), -1), ((2, 12), 2), ((3, 12), -1)):
+        with pytest.raises(ValueError):  # scale | shift of the wrong width or lead
+            T.layer_norm(x, axis=axis, scale_shift=Tensor(np.zeros(ss)))
+    with pytest.raises(ValueError):
+        T.geglu(Tensor(np.zeros((4, 4, 5))))
+    for gamma in ((4, 1, 1), (2, 1)):  # 4 heads do not divide 2 channels
+        with pytest.raises(ValueError):
+            T.channel_attention(x, Tensor(np.ones(gamma)), 1e-8)
 
 
 def test_mean_sum_axes():
