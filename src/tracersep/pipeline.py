@@ -265,97 +265,76 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def save_checkpoint(model: SeparationModel, path, optimizer: Adam | None = None,
-                    step: int = 0, seed: int = 0,
+def save_checkpoint(model: SeparationModel, path, step: int = 0, seed: int = 0,
                     loss_tail: list | None = None) -> None:
-    """Write checkpoint.json and the archive of the parameters, then, with an
-    optimizer, Adam's m and v, each in `model.parameters()` order."""
+    """Write the archive of the parameters, in `model.parameters()` order,
+    and checkpoint.json."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     params = model.parameters()
-    arrays = [p.data for p in params]
-    adam_state = None
-    if optimizer is not None:
-        arrays += [optimizer.m[p.name] for p in params] + [optimizer.v[p.name] for p in params]
-        adam_state = {"t": optimizer.t, "lr": optimizer.lr, "beta1": optimizer.beta1,
-                      "beta2": optimizer.beta2, "eps": optimizer.eps}
     hasher = hashlib.sha256()
     with open(root / ARCHIVE, "wb") as fh:
-        for arr in arrays:
-            T.write_tsr_record(fh, arr, hasher)
+        for p in params:
+            T.write_tsr_record(fh, p.data, hasher)
     meta = {"format": CHECKPOINT_FORMAT, "model": asdict(model.cfg),
             "names": [p.name for p in params], "step": step, "seed": seed,
-            "loss_tail": loss_tail or [], "adam": adam_state, "sha256": hasher.hexdigest()}
+            "loss_tail": loss_tail or [], "sha256": hasher.hexdigest()}
     (root / META).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _read_meta(root: Path) -> dict:
     """checkpoint.json, checked for its format and keys before anything is
     built or read."""
-    for meta_path in (root / META, root / "manifest.json"):  # formats 1 and 2 used the latter
-        if meta_path.is_file():
-            break
-    else:
-        raise CheckpointError(f"{root} has neither {META} nor manifest.json")
+    meta_path = root / META
+    if not meta_path.is_file():
+        raise CheckpointError(f"{root} has no {META}")
     meta = json.loads(meta_path.read_text())
     found = meta.get("format")
     if found != CHECKPOINT_FORMAT:
         raise CheckpointError(f"checkpoint format {found}, expected {CHECKPOINT_FORMAT}")
-    missing = [key for key in ("model", "names", "adam", "sha256") if key not in meta]
+    missing = [key for key in ("model", "names", "sha256") if key not in meta]
     if missing:
-        raise CheckpointError(f"{meta_path.name} lacks {', '.join(missing)}")
+        raise CheckpointError(f"{meta_path} lacks {', '.join(missing)}")
     unknown = sorted(set(meta["model"]) - {f.name for f in fields(ModelConfig)})
     if unknown:
-        raise CheckpointError(f"{meta_path.name} has unknown model keys {', '.join(unknown)}")
+        raise CheckpointError(f"{meta_path} has unknown model keys {', '.join(unknown)}")
     return meta
 
 
-def load_checkpoint(path) -> tuple[SeparationModel, Adam | None]:
-    """The model, and its Adam state if one was saved, from a checkpoint directory.
+def load_checkpoint(path) -> tuple[SeparationModel, dict]:
+    """The model from a checkpoint directory, and its parsed checkpoint.json.
 
     The model is built unfilled, so no random init is drawn. The archive is
-    read once, each record straight into the parameter or Adam buffer it
-    fills, and its sha256 is taken over the bytes read.
+    read once, each record straight into the parameter it fills, and its
+    sha256 is taken over the bytes read.
     """
     root = Path(path)
     meta = _read_meta(root)
     model = SeparationModel(ModelConfig(**meta["model"]), filled=False)
     params = model.parameters()
-    names = [p.name for p in params]
-    saved, ours = meta["names"] + [None], names + [None]
+    saved, ours = meta["names"] + [None], [p.name for p in params] + [None]
     if saved != ours:
         i = next(i for i, pair in enumerate(zip(saved, ours)) if pair[0] != pair[1])
         raise CheckpointError(f"parameter names differ from the model's at entry {i}: "
                               f"checkpoint has {saved[i]!r}, model has {ours[i]!r}")
-    adam = meta["adam"]
-    n = len(params)
-    arrays = [p.data for p in params] + ([np.empty_like(p.data) for p in params * 2]
-                                         if adam else [])
     if not (root / ARCHIVE).is_file():
         raise CheckpointError(f"missing archive {root / ARCHIVE}")
     hasher = hashlib.sha256()
     with open(root / ARCHIVE, "rb") as fh:
-        for i, into in enumerate(arrays):
-            p = params[i % n]
-            what = f"{ARCHIVE} record {i} ({p.name}{('', ' m', ' v')[i // n]})"
+        for i, p in enumerate(params):
+            what = f"{ARCHIVE} record {i} ({p.name})"
             try:
-                arr = T.read_tsr_record(fh, out=into, hasher=hasher)
+                arr = T.read_tsr_record(fh, out=p.data, hasher=hasher)
             except ValueError as err:
                 raise CheckpointError(f"{what}: {err}") from None
-            if arr.shape != into.shape:
+            if arr.shape != p.data.shape:
                 raise CheckpointError(f"{what} has shape {arr.shape}, but parameter "
-                                      f"{p.name} has shape {into.shape}")
-            if arr is not into:
-                into[...] = arr  # saved in the other precision
+                                      f"{p.name} has shape {p.data.shape}")
+            if arr is not p.data:
+                p.data[...] = arr  # saved in the other precision
         extra = os.fstat(fh.fileno()).st_size - fh.tell()
     if extra:
-        raise CheckpointError(f"{ARCHIVE} has {extra} bytes after its {len(arrays)} records")
+        raise CheckpointError(f"{ARCHIVE} has {extra} bytes after its {len(params)} records")
     if hasher.hexdigest() != meta["sha256"]:
         raise CheckpointError(f"sha256 digest mismatch for {ARCHIVE}")
-    optimizer = None
-    if adam:
-        optimizer = Adam(params, lr=adam["lr"], beta1=adam["beta1"], beta2=adam["beta2"],
-                         eps=adam["eps"], m=dict(zip(names, arrays[n:2 * n])),
-                         v=dict(zip(names, arrays[2 * n:])))
-        optimizer.t = adam["t"]
-    return model, optimizer
+    return model, meta

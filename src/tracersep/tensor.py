@@ -929,23 +929,18 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Parameter],
 
 
 class Adam:
-    """Bias-corrected Adam; moment buffers keyed by parameter name."""
+    """Bias-corrected Adam; moment buffers in `params` order."""
 
     def __init__(self, params: Sequence[Parameter], lr: float = 2e-4,
-                 beta1: float = 0.9, beta2: float = 0.99, eps: float = 1e-8,
-                 m: dict | None = None, v: dict | None = None):
-        """m and v resume saved moment buffers; a fresh run starts them at zero."""
+                 beta1: float = 0.9, beta2: float = 0.99, eps: float = 1e-8):
         self.params = list(params)
-        names = [p.name for p in self.params]
-        if len(set(names)) != len(names):
-            raise ValueError("parameter names must be unique")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = m if m is not None else {p.name: np.zeros_like(p.data) for p in self.params}
-        self.v = v if v is not None else {p.name: np.zeros_like(p.data) for p in self.params}
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -955,10 +950,8 @@ class Adam:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p in self.params:
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[p.name]
-            v = self.v[p.name]
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

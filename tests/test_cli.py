@@ -107,6 +107,15 @@ def test_runtime_error_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_ckpt_on_a_corpus_directory_names_the_missing_checkpoint_json(tmp_path, corpus,
+                                                                      capsys):
+    """A corpus holds a run manifest.json, which is not checkpoint metadata."""
+    rc = dispatch(["separate", "--ckpt", str(corpus), "--input",
+                   str(corpus / "p0000_dual.tsr"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert f"{corpus} has no checkpoint.json" in capsys.readouterr().err
+
+
 def test_phantom_deterministic_artifacts(tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
