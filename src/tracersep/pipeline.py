@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -56,9 +57,17 @@ class TrainConfig:
     teacher_forcing_frac: float = 0.0
 
     def __post_init__(self):
-        for name in ("steps", "batch"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # comparisons with NaN are false, so a NaN fails every check
+        for name, ok, want in (
+                ("steps", self.steps >= 1, ">= 1"),
+                ("batch", self.batch >= 1, ">= 1"),
+                ("lr", 0 < self.lr < math.inf, "finite and > 0"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("eps", self.eps > 0, "> 0"),
+                ("teacher_forcing_frac", 0 <= self.teacher_forcing_frac <= 1, "in [0, 1]")):
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)}")
         if self.precision not in ("f32", "f64"):
             raise ValueError(f"unknown precision {self.precision!r}")
 
@@ -288,13 +297,21 @@ def _read_meta(root: Path) -> dict:
     meta_path = root / META
     if not meta_path.is_file():
         raise CheckpointError(f"{root} has no {META}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_text())
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise CheckpointError(f"{meta_path} is not valid JSON: {err}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{meta_path} holds no JSON object")
     found = meta.get("format")
     if found != CHECKPOINT_FORMAT:
         raise CheckpointError(f"checkpoint format {found}, expected {CHECKPOINT_FORMAT}")
     missing = [key for key in ("model", "names", "sha256") if key not in meta]
     if missing:
         raise CheckpointError(f"{meta_path} lacks {', '.join(missing)}")
+    for key, kind, what in (("model", dict, "an object"), ("names", list, "a list")):
+        if not isinstance(meta[key], kind):
+            raise CheckpointError(f"{meta_path}: {key} is not {what}")
     unknown = sorted(set(meta["model"]) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise CheckpointError(f"{meta_path} has unknown model keys {', '.join(unknown)}")

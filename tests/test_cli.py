@@ -255,6 +255,21 @@ def test_out_of_range_texture_settings_exit_one(tmp_path, corpus, ckpt, capsys, 
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("train, message", [
+    ({"lr": -1, "teacher_forcing_frac": 7}, "lr must be finite and > 0, got -1"),
+    ({"beta1": 1.0}, "beta1 must be in [0, 1), got 1.0"),
+])
+def test_train_config_out_of_range_exits_one_before_training(tmp_path, corpus, capsys,
+                                                             train, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": TINY["model"], "train": {**TINY["train"], **train}}))
+    out = tmp_path / "ckpt"
+    assert dispatch(["train", "--config", str(cfg), "--data", str(corpus),
+                     "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_separate_and_replay_bit_identical(tmp_path, corpus, ckpt):
     out1 = tmp_path / "sep1"
     rc = dispatch(["separate", "--ckpt", str(ckpt),

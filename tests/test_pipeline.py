@@ -39,6 +39,22 @@ def test_train_config_validation():
         TrainConfig(precision="f16")
 
 
+@pytest.mark.parametrize("field, value, want", [
+    ("lr", -1.0, "finite and > 0"), ("lr", 0.0, "finite and > 0"),
+    ("lr", float("inf"), "finite and > 0"), ("lr", float("nan"), "finite and > 0"),
+    ("beta1", 1.0, "in [0, 1)"), ("beta1", -0.1, "in [0, 1)"), ("beta2", 1.0, "in [0, 1)"),
+    ("eps", 0.0, "> 0"), ("teacher_forcing_frac", 7.0, "in [0, 1]"),
+    ("teacher_forcing_frac", -0.5, "in [0, 1]")])
+def test_train_config_rejects_out_of_range_optimizer_settings(field, value, want):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {want}, got {value}")):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_range_edges():
+    TrainConfig(beta1=0.0, beta2=0.0, teacher_forcing_frac=0.0)
+    TrainConfig(teacher_forcing_frac=1.0, lr=1e-12, eps=1e-300)
+
+
 def test_loss_tm_perfect_prediction_is_zero():
     rng = make_rng(1)
     targets = [rng.uniform(0.1, 1.0, size=(8, 8)) for _ in range(2)]
@@ -304,6 +320,22 @@ def test_checkpoint_missing_meta_key_rejected(tmp_path, key):
     save_checkpoint(SeparationModel(tiny_config()), tmp_path / "ck")
     rewrite_meta(tmp_path / "ck", lambda m: m.pop(key))
     with pytest.raises(CheckpointError, match=f"checkpoint.json lacks {key}$"):
+        load_checkpoint(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda path: path.write_text(path.read_text()[:40]), " is not valid JSON"),
+    (lambda path: path.write_bytes(b"\xff\xfe{}"), " is not valid JSON"),
+    (lambda path: path.write_text("[3]"), " holds no JSON object"),
+    (lambda path: rewrite_meta(path.parent, lambda m: m.update(model=[1])),
+     ": model is not an object"),
+    (lambda path: rewrite_meta(path.parent, lambda m: m.update(names="msp.conv_in.w")),
+     ": names is not a list")], ids=["truncated", "not-utf8", "array", "model", "names"])
+def test_unreadable_checkpoint_meta_rejected_naming_the_file(tmp_path, damage, message):
+    save_checkpoint(SeparationModel(tiny_config()), tmp_path / "ck")
+    path = tmp_path / "ck" / "checkpoint.json"
+    damage(path)
+    with pytest.raises(CheckpointError, match=re.escape(str(path)) + re.escape(message)):
         load_checkpoint(tmp_path / "ck")
 
 
