@@ -76,21 +76,13 @@ def cmd_phantom(args):
             [], sorted(outputs), None)
 
 
-def _load_train_config(args) -> tuple[ModelConfig, TrainConfig]:
-    file_cfg = {}
-    if args.config:
-        file_cfg = json.loads(Path(args.config).read_text())
-    # explicit CLI flags win over the file; each config checks the merged values
-    def merged(section: str, names: tuple) -> dict:
-        flags = {n: getattr(args, n) for n in names if getattr(args, n) is not None}
-        return {**file_cfg.get(section, {}), **flags}
-
-    return (ModelConfig(**merged("model", ("tau",))),
-            TrainConfig(**merged("train", ("steps", "lr", "batch", "seed", "precision"))))
+def _load_train_config(path) -> tuple[ModelConfig, TrainConfig]:
+    cfg = json.loads(Path(path).read_text()) if path else {}
+    return ModelConfig(**cfg.get("model", {})), TrainConfig(**cfg.get("train", {}))
 
 
 def cmd_train(args):
-    model_cfg, train_cfg = _load_train_config(args)
+    model_cfg, train_cfg = _load_train_config(args.config)
     pairs = load_corpus(args.data)
     out = Path(args.out)
     with T.precision(train_cfg.precision):
@@ -234,12 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a separation model on a corpus")
     p.add_argument("--config", help="JSON config with 'model' and 'train' sections")
     p.add_argument("--data", required=True)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--precision", choices=["f32", "f64"])
-    p.add_argument("--tau", type=int)
     p.add_argument("--log-every", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

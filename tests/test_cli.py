@@ -95,6 +95,22 @@ def test_unknown_subcommand_exits_two(capsys):
     assert "frobnicate" in capsys.readouterr().err
 
 
+def test_train_offers_only_config_data_log_every_and_out(capsys):
+    assert dispatch(["train", "--help"]) == 0
+    flags = set(re.findall(r"--[\w-]+", capsys.readouterr().out))
+    assert flags == {"--help", "--config", "--data", "--log-every", "--out"}
+
+
+def test_a_manifest_with_a_removed_train_flag_is_a_usage_error(tmp_path, corpus, capsys):
+    out = tmp_path / "ckpt"
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"argv": ["train", "--data", str(corpus), "--steps", "1",
+                                             "--out", str(out)]}))
+    assert dispatch(["--replay", str(manifest)]) == 2
+    assert "unrecognized arguments: --steps 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_command_exits_two():
     assert dispatch([]) == 2
 
@@ -188,7 +204,7 @@ def test_every_subcommand_writes_one_kind_of_manifest(tmp_path, corpus, ckpt, co
     argv = [command] + {  # each manifest lands in `out`
         "phantom": ["--seed", "3", "--count", "1", "--size", "8", "--out", str(out)],
         "train": ["--config", str(tmp_path / "cfg.json"), "--data", str(corpus),
-                  "--steps", "1", "--out", str(out)],
+                  "--out", str(out)],
         "lbp": ["--input", dual, "--out", str(out)],
         "separate": ["--ckpt", str(ckpt), "--input", dual, "--out", str(out)],
         "evaluate": ["--pred", str(pred), "--truth", str(corpus),
@@ -214,18 +230,6 @@ def test_every_subcommand_writes_one_kind_of_manifest(tmp_path, corpus, ckpt, co
     else:
         meta = (read_or_written / "checkpoint.json").read_bytes()
         assert manifest["checkpoint_sha"] == hashlib.sha256(meta).hexdigest()
-
-
-@pytest.mark.parametrize("flag", ["steps", "batch"])
-def test_train_rejects_nonpositive_flag_before_training(tmp_path, corpus, capsys, flag):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(TINY))
-    out = tmp_path / "ckpt"
-    rc = dispatch(["train", "--config", str(cfg), "--data", str(corpus),
-                   f"--{flag}", "0", "--out", str(out)])
-    assert rc == 1
-    assert f"{flag} must be >= 1" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_checkpoint_sha_agrees_across_commands(tmp_path, corpus, ckpt):
@@ -258,6 +262,8 @@ def test_out_of_range_texture_settings_exit_one(tmp_path, corpus, ckpt, capsys, 
 @pytest.mark.parametrize("train, message", [
     ({"lr": -1, "teacher_forcing_frac": 7}, "lr must be finite and > 0, got -1"),
     ({"beta1": 1.0}, "beta1 must be in [0, 1), got 1.0"),
+    ({"steps": 0}, "steps must be >= 1"),
+    ({"batch": 0}, "batch must be >= 1"),
 ])
 def test_train_config_out_of_range_exits_one_before_training(tmp_path, corpus, capsys,
                                                              train, message):
