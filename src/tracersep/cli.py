@@ -23,7 +23,7 @@ from . import tensor as T
 from .evaluation import (MetricsRow, PhantomPair, PhantomSpec, corpus_files,
                          evaluate_pair, load_corpus, save_corpus, write_metrics_csv)
 from .pipeline import (ARCHIVE, META, ModelConfig, SeparationModel, TrainConfig,
-                       load_checkpoint, save_checkpoint, separate, train)
+                       load_checkpoint, save_checkpoint, separate, train, unknown_fields)
 from .tensor import load_tsr, save_tsr
 from .texture import TextureConfig, lbp_map, masked_texture, texture_mask
 
@@ -76,9 +76,35 @@ def cmd_phantom(args):
             [], sorted(outputs), None)
 
 
+TRAIN_SECTIONS = {"model": ModelConfig, "train": TrainConfig}
+
+
 def _load_train_config(path) -> tuple[ModelConfig, TrainConfig]:
-    cfg = json.loads(Path(path).read_text()) if path else {}
-    return ModelConfig(**cfg.get("model", {})), TrainConfig(**cfg.get("train", {}))
+    """A run's configs from its JSON file, whose sections may leave out any
+    field; without a file, the defaults."""
+    try:
+        cfg = json.loads(Path(path).read_text()) if path else {}
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ValueError(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path} holds a {type(cfg).__name__}, not a JSON object")
+    unknown = sorted(set(cfg) - set(TRAIN_SECTIONS))
+    if unknown:
+        raise ValueError(f"{path} has unknown sections {', '.join(unknown)}")
+    configs = []
+    for section, cls in TRAIN_SECTIONS.items():
+        values = cfg.get(section, {})
+        if not isinstance(values, dict):
+            raise ValueError(f"{path}: {section} is a {type(values).__name__}, "
+                             f"not a JSON object")
+        unknown = unknown_fields(cls, values)
+        if unknown:
+            raise ValueError(f"{path} has unknown {section} keys {', '.join(unknown)}")
+        try:
+            configs.append(cls(**values))
+        except ValueError as err:
+            raise ValueError(f"{path}: {section}: {err}") from None
+    return tuple(configs)
 
 
 def cmd_train(args):
@@ -224,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_phantom)
 
     p = sub.add_parser("train", help="train a separation model on a corpus")
-    p.add_argument("--config", help="JSON config with 'model' and 'train' sections")
+    p.add_argument("--config", help="JSON object with 'model' and 'train' sections, which "
+                                   "hold every setting; defaults without it")
     p.add_argument("--data", required=True)
     p.add_argument("--log-every", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -19,6 +20,11 @@ from .latent import LpebConfig, PriorEncoder, extract_condition, extract_msp
 from .tensor import Adam, Tensor, make_rng, no_grad
 from .texture import TextureConfig, fuse, image_mask, masked_texture
 from .transformer import UNet, UNetConfig, unet_forward
+
+
+def unknown_fields(cls, keys) -> list[str]:
+    """The keys that name no field of dataclass cls, sorted."""
+    return sorted(set(keys) - {f.name for f in fields(cls)})
 
 
 @dataclass
@@ -57,10 +63,20 @@ class TrainConfig:
     teacher_forcing_frac: float = 0.0
 
     def __post_init__(self):
+        # bool is an Integral, and numpy's integer and floating scalars are
+        # registered as Integral and Real
+        for names, kind, what in ((("steps", "batch", "seed"), numbers.Integral, "an integer"),
+                                  (("lr", "beta1", "beta2", "eps", "teacher_forcing_frac"),
+                                   numbers.Real, "a real number")):
+            for name in names:
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} must be {what}, got {value!r}")
         # comparisons with NaN are false, so a NaN fails every check
         for name, ok, want in (
                 ("steps", self.steps >= 1, ">= 1"),
                 ("batch", self.batch >= 1, ">= 1"),
+                ("seed", self.seed >= 0, ">= 0"),
                 ("lr", 0 < self.lr < math.inf, "finite and > 0"),
                 ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
                 ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
@@ -312,7 +328,7 @@ def _read_meta(root: Path) -> dict:
     for key, kind, what in (("model", dict, "an object"), ("names", list, "a list")):
         if not isinstance(meta[key], kind):
             raise CheckpointError(f"{meta_path}: {key} is not {what}")
-    unknown = sorted(set(meta["model"]) - {f.name for f in fields(ModelConfig)})
+    unknown = unknown_fields(ModelConfig, meta["model"])
     if unknown:
         raise CheckpointError(f"{meta_path} has unknown model keys {', '.join(unknown)}")
     return meta

@@ -276,6 +276,31 @@ def test_train_config_out_of_range_exits_one_before_training(tmp_path, corpus, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"model": TINY["model"], "trian": {"steps": 1}}), "has unknown sections trian"),
+    (json.dumps([TINY]), "holds a list, not a JSON object"),
+    (json.dumps({"model": [], "train": TINY["train"]}), ": model is a list, not a JSON object"),
+    (json.dumps({"model": {**TINY["model"], "depth": 3}}), "has unknown model keys depth"),
+    (json.dumps({"train": {"step": 1, "lr": 1e-3}}), "has unknown train keys step"),
+    ('{"train": {', "is not valid JSON"),
+    (json.dumps({"train": {"steps": 2.5}}), ": train: steps must be an integer, got 2.5"),
+    (json.dumps({"train": {"steps": True}}), ": train: steps must be an integer, got True"),
+    (json.dumps({"train": {"lr": "2e-4"}}), ": train: lr must be a real number, got '2e-4'"),
+    (json.dumps({"train": {"seed": -1}}), ": train: seed must be >= 0, got -1"),
+], ids=["misspelt-section", "array", "model-array", "unknown-model-key", "unknown-train-key",
+        "not-json", "float-steps", "bool-steps", "string-lr", "negative-seed"])
+def test_train_config_file_is_checked_before_training(tmp_path, corpus, capsys, text,
+                                                      message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    out = tmp_path / "ckpt"
+    assert dispatch(["train", "--config", str(cfg), "--data", str(corpus),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}") and message in err
+    assert not out.exists()
+
+
 def test_separate_and_replay_bit_identical(tmp_path, corpus, ckpt):
     out1 = tmp_path / "sep1"
     rc = dispatch(["separate", "--ckpt", str(ckpt),

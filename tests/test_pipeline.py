@@ -44,10 +44,25 @@ def test_train_config_validation():
     ("lr", float("inf"), "finite and > 0"), ("lr", float("nan"), "finite and > 0"),
     ("beta1", 1.0, "in [0, 1)"), ("beta1", -0.1, "in [0, 1)"), ("beta2", 1.0, "in [0, 1)"),
     ("eps", 0.0, "> 0"), ("teacher_forcing_frac", 7.0, "in [0, 1]"),
-    ("teacher_forcing_frac", -0.5, "in [0, 1]")])
+    ("teacher_forcing_frac", -0.5, "in [0, 1]"), ("seed", -1, ">= 0")])
 def test_train_config_rejects_out_of_range_optimizer_settings(field, value, want):
     with pytest.raises(ValueError, match=re.escape(f"{field} must be {want}, got {value}")):
         TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, want", [
+    ("steps", 2.5, "an integer"), ("steps", True, "an integer"), ("batch", "4", "an integer"),
+    ("seed", 1.0, "an integer"), ("seed", None, "an integer"),
+    ("lr", "2e-4", "a real number"), ("beta1", False, "a real number"),
+    ("eps", [1e-8], "a real number"), ("teacher_forcing_frac", 1j, "a real number")])
+def test_train_config_rejects_wrong_types(field, value, want):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {want}, got {value!r}")):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_numpy_scalars():
+    TrainConfig(steps=np.int64(3), batch=np.int32(2), seed=np.uint8(0), lr=np.float32(1e-3),
+                beta1=np.float64(0.5), eps=np.float16(1e-3), teacher_forcing_frac=np.int64(1))
 
 
 def test_train_config_accepts_range_edges():
