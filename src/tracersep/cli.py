@@ -23,7 +23,7 @@ from . import tensor as T
 from .evaluation import (MetricsRow, PhantomPair, PhantomSpec, corpus_files,
                          evaluate_pair, load_corpus, save_corpus, write_metrics_csv)
 from .pipeline import (ARCHIVE, META, ModelConfig, SeparationModel, TrainConfig,
-                       load_checkpoint, save_checkpoint, separate, train, unknown_fields)
+                       load_checkpoint, read_config, save_checkpoint, separate, train)
 from .tensor import load_tsr, save_tsr
 from .texture import TextureConfig, lbp_map, masked_texture, texture_mask
 
@@ -91,20 +91,8 @@ def _load_train_config(path) -> tuple[ModelConfig, TrainConfig]:
     unknown = sorted(set(cfg) - set(TRAIN_SECTIONS))
     if unknown:
         raise ValueError(f"{path} has unknown sections {', '.join(unknown)}")
-    configs = []
-    for section, cls in TRAIN_SECTIONS.items():
-        values = cfg.get(section, {})
-        if not isinstance(values, dict):
-            raise ValueError(f"{path}: {section} is a {type(values).__name__}, "
-                             f"not a JSON object")
-        unknown = unknown_fields(cls, values)
-        if unknown:
-            raise ValueError(f"{path} has unknown {section} keys {', '.join(unknown)}")
-        try:
-            configs.append(cls(**values))
-        except ValueError as err:
-            raise ValueError(f"{path}: {section}: {err}") from None
-    return tuple(configs)
+    return tuple(read_config(cls, cfg.get(section, {}), path, section)
+                 for section, cls in TRAIN_SECTIONS.items())
 
 
 def cmd_train(args):

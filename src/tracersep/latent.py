@@ -116,8 +116,8 @@ class ModulationParams(T.Module):
                  prefix: str):
         std = 1e-2 / in_dim ** 0.5
         (self.w,) = T.fused_normal_params(rng, [((in_dim, channels), std, f"{prefix}.w")], 2)
-        self.b = T.make_param((2 * channels,), f"{prefix}.b",
-                              lambda: np.concatenate([np.ones(channels), np.zeros(channels)]))
+        self.b = T.Parameter(np.concatenate([np.ones(channels), np.zeros(channels)]),
+                             f"{prefix}.b")
 
 
 def modulate(m: Tensor, latent_flat: Tensor, params: ModulationParams) -> Tensor:

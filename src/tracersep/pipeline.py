@@ -1,7 +1,6 @@
 """Joint training, end-to-end separation, and checkpoint persistence."""
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -22,9 +21,44 @@ from .texture import TextureConfig, fuse, image_mask, masked_texture
 from .transformer import UNet, UNetConfig, unet_forward
 
 
-def unknown_fields(cls, keys) -> list[str]:
-    """The keys that name no field of dataclass cls, sorted."""
-    return sorted(set(keys) - {f.name for f in fields(cls)})
+# what a field's annotation admits; bool is an Integral, and numpy's integer
+# and floating scalars are registered as Integral and Real
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number"),
+          "str": (str, "a string")}
+
+
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_types(config) -> None:
+    """Reject the first field of dataclass `config` whose value its
+    annotation (int, float, str or list[int]) does not admit, naming it."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "list[int]":
+            what = "a list of integers"
+            ok = isinstance(value, list) and all(_is(v, numbers.Integral) for v in value)
+        else:
+            kind, what = _KINDS[f.type]
+            ok = _is(value, kind)
+        if not ok:
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+
+
+def read_config(cls, values, where, section: str):
+    """A `cls` config from `values`, the JSON `section` of the file `where`,
+    which may leave out any field. Every error names the file and the section."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{where}: {section} is a {type(values).__name__}, "
+                         f"not a JSON object")
+    unknown = sorted(set(values) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{where} has unknown {section} keys {', '.join(unknown)}")
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ValueError(f"{where}: {section}: {err}") from None
 
 
 @dataclass
@@ -38,16 +72,30 @@ class ModelConfig:
     beta_start: float = 0.1
     beta_end: float = 0.99
     unet_levels: int = 4
-    unet_heads: list = field(default_factory=lambda: [1, 2, 4, 8])
-    unet_channels: list = field(default_factory=lambda: [48, 96, 192, 384])
-    unet_blocks: list = field(default_factory=lambda: [3, 5, 6, 6])
+    unet_heads: list[int] = field(default_factory=lambda: [1, 2, 4, 8])
+    unet_channels: list[int] = field(default_factory=lambda: [48, 96, 192, 384])
+    unet_blocks: list[int] = field(default_factory=lambda: [3, 5, 6, 6])
     gdfn_expansion: float = 2.0
     tau: int = 180
     alpha: float = 0.9
     init_seed: int = 0
 
-    def texture(self) -> TextureConfig:
-        return TextureConfig(tau=self.tau, alpha=self.alpha)
+    def __post_init__(self):
+        check_types(self)
+        self.parts()  # each part's config checks its own ranges
+
+    def parts(self):
+        """The configs of the prior encoder, the condition encoder, the
+        denoiser, the U-net and the texture condition, then the schedule."""
+        lpeb = dict(width=self.lpeb_width, res_blocks=self.lpeb_res_blocks, d=self.d)
+        return (LpebConfig(**lpeb, n_heads=self.n_tracers), LpebConfig(**lpeb, n_heads=1),
+                DenoiserConfig(d=self.d, n_tracers=self.n_tracers,
+                               hidden=self.denoiser_hidden, steps=self.diffusion_steps),
+                UNetConfig(levels=self.unet_levels, heads=list(self.unet_heads),
+                           channels=list(self.unet_channels), blocks=list(self.unet_blocks),
+                           gdfn_expansion=self.gdfn_expansion, n_tracers=self.n_tracers, d=self.d),
+                TextureConfig(tau=self.tau, alpha=self.alpha),
+                build_schedule(self.diffusion_steps, self.beta_start, self.beta_end))
 
 
 @dataclass
@@ -63,15 +111,7 @@ class TrainConfig:
     teacher_forcing_frac: float = 0.0
 
     def __post_init__(self):
-        # bool is an Integral, and numpy's integer and floating scalars are
-        # registered as Integral and Real
-        for names, kind, what in ((("steps", "batch", "seed"), numbers.Integral, "an integer"),
-                                  (("lr", "beta1", "beta2", "eps", "teacher_forcing_frac"),
-                                   numbers.Real, "a real number")):
-            for name in names:
-                value = getattr(self, name)
-                if isinstance(value, bool) or not isinstance(value, kind):
-                    raise ValueError(f"{name} must be {what}, got {value!r}")
+        check_types(self)
         # comparisons with NaN are false, so a NaN fails every check
         for name, ok, want in (
                 ("steps", self.steps >= 1, ">= 1"),
@@ -92,27 +132,14 @@ class SeparationModel(T.Module):
     """All parameter groups plus the schedule and texture configuration."""
 
     def __init__(self, cfg: ModelConfig, filled: bool = True):
-        """filled=False builds every parameter unfilled (see `tensor.unfilled`):
-        nothing is drawn or written, and load_checkpoint reads each into place."""
+        """filled=False leaves the initial weights unwritten, for load_checkpoint to fill."""
         self.cfg = cfg
-        rng = make_rng(cfg.init_seed)
-        lpeb = LpebConfig(width=cfg.lpeb_width, res_blocks=cfg.lpeb_res_blocks,
-                          d=cfg.d, n_heads=cfg.n_tracers)
-        cond_cfg = LpebConfig(width=cfg.lpeb_width, res_blocks=cfg.lpeb_res_blocks,
-                              d=cfg.d, n_heads=1)
-        with contextlib.nullcontext() if filled else T.unfilled():
-            self.msp_encoder = PriorEncoder(lpeb, rng, "msp")
-            self.cond_encoder = PriorEncoder(cond_cfg, rng, "cond")
-            self.denoiser = Denoiser(
-                DenoiserConfig(d=cfg.d, n_tracers=cfg.n_tracers,
-                               hidden=cfg.denoiser_hidden, steps=cfg.diffusion_steps),
-                rng, "denoiser")
-            self.unet = UNet(
-                UNetConfig(levels=cfg.unet_levels, heads=list(cfg.unet_heads),
-                           channels=list(cfg.unet_channels), blocks=list(cfg.unet_blocks),
-                           gdfn_expansion=cfg.gdfn_expansion, n_tracers=cfg.n_tracers,
-                           d=cfg.d),
-                rng, "unet")
+        rng = make_rng(cfg.init_seed) if filled else None
+        msp, cond, denoiser, unet, self.texture, self.schedule = cfg.parts()
+        self.msp_encoder = PriorEncoder(msp, rng, "msp")
+        self.cond_encoder = PriorEncoder(cond, rng, "cond")
+        self.denoiser = Denoiser(denoiser, rng, "denoiser")
+        self.unet = UNet(unet, rng, "unet")
         if filled:
             # Start every latent-modulation path inert. The transformer then
             # behaves identically whether it sees a training rollout or an
@@ -122,8 +149,6 @@ class SeparationModel(T.Module):
                 for blk in blocks:
                     for mod in (blk.mod1, blk.mod2):
                         mod.w.data[:] = 0.0
-        self.schedule = build_schedule(cfg.diffusion_steps, cfg.beta_start, cfg.beta_end)
-        self.texture = cfg.texture()
 
 
 def loss_tm(separated: list[Tensor], targets: list[np.ndarray], masks) -> Tensor:
@@ -307,9 +332,9 @@ def save_checkpoint(model: SeparationModel, path, step: int = 0, seed: int = 0,
     (root / META).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def _read_meta(root: Path) -> dict:
-    """checkpoint.json, checked for its format and keys before anything is
-    built or read."""
+def _read_meta(root: Path) -> tuple[dict, ModelConfig]:
+    """checkpoint.json and its model config, checked before anything is built
+    or read."""
     meta_path = root / META
     if not meta_path.is_file():
         raise CheckpointError(f"{root} has no {META}")
@@ -328,10 +353,10 @@ def _read_meta(root: Path) -> dict:
     for key, kind, what in (("model", dict, "an object"), ("names", list, "a list")):
         if not isinstance(meta[key], kind):
             raise CheckpointError(f"{meta_path}: {key} is not {what}")
-    unknown = unknown_fields(ModelConfig, meta["model"])
-    if unknown:
-        raise CheckpointError(f"{meta_path} has unknown model keys {', '.join(unknown)}")
-    return meta
+    try:
+        return meta, read_config(ModelConfig, meta["model"], meta_path, "model")
+    except ValueError as err:
+        raise CheckpointError(str(err)) from None
 
 
 def load_checkpoint(path) -> tuple[SeparationModel, dict]:
@@ -342,8 +367,8 @@ def load_checkpoint(path) -> tuple[SeparationModel, dict]:
     sha256 is taken over the bytes read.
     """
     root = Path(path)
-    meta = _read_meta(root)
-    model = SeparationModel(ModelConfig(**meta["model"]), filled=False)
+    meta, cfg = _read_meta(root)
+    model = SeparationModel(cfg, filled=False)
     params = model.parameters()
     saved, ours = meta["names"] + [None], [p.name for p in params] + [None]
     if saved != ours:

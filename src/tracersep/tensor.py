@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
-_state = {"dtype": np.float32, "grad": True, "fill": True}
+_state = {"dtype": np.float32, "grad": True}
 
 TSR_MAGIC = b"MSCDTTSR"
 
@@ -80,16 +80,6 @@ def precision(name: str):
 def no_grad():
     """Disable graph recording (inference / metrics)."""
     yield from _swap("grad", False)
-
-
-@contextlib.contextmanager
-def unfilled():
-    """Build parameters without initial values, for a load to fill in place.
-
-    Inside, the parameter factories below allocate each array in the default
-    dtype and neither draw from their generator nor write the array.
-    """
-    yield from _swap("fill", False)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -965,27 +955,23 @@ def _unfilled_param(shape, name: str) -> Parameter:
     return p
 
 
-def make_param(shape, name: str, values: Callable[[], np.ndarray]) -> Parameter:
-    """A parameter holding values(), or, inside `unfilled`, one left unwritten."""
-    if not _state["fill"]:
+def normal_param(rng: np.random.Generator | None, shape, std: float, name: str) -> Parameter:
+    """A parameter drawn from rng or, with no rng, left unwritten for a load to fill."""
+    if rng is None:
         return _unfilled_param(shape, name)
-    return Parameter(values(), name)
+    return Parameter(rng.standard_normal(shape) * std, name)
 
 
-def normal_param(rng: np.random.Generator, shape, std: float, name: str) -> Parameter:
-    return make_param(shape, name, lambda: rng.standard_normal(shape) * std)
-
-
-def fused_normal_params(rng: np.random.Generator, specs, branches: int) -> list[Parameter]:
+def fused_normal_params(rng: np.random.Generator | None, specs, branches: int) -> list[Parameter]:
     """Parameters whose last axis joins `branches` equal pieces, one per branch.
 
     specs lists (piece shape, std, name). Pieces are drawn branch by branch
     and, within a branch, in spec order, the order separate normal_param
     calls per branch would draw them, and are written straight into one
-    array per spec in the default dtype.
+    array per spec in the default dtype, or, with no rng, left unwritten.
     """
     shapes = [shape[:-1] + (branches * shape[-1],) for shape, _, _ in specs]
-    if not _state["fill"]:
+    if rng is None:
         return [_unfilled_param(shape, name) for shape, (_, _, name) in zip(shapes, specs)]
     arrays = [np.empty(shape, dtype=_state["dtype"]) for shape in shapes]
     for i in range(branches):
@@ -995,11 +981,11 @@ def fused_normal_params(rng: np.random.Generator, specs, branches: int) -> list[
 
 
 def zeros_param(shape, name: str) -> Parameter:
-    return make_param(shape, name, lambda: np.zeros(shape))
+    return Parameter(np.zeros(shape), name)
 
 
 def ones_param(shape, name: str) -> Parameter:
-    return make_param(shape, name, lambda: np.ones(shape))
+    return Parameter(np.ones(shape), name)
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,33 @@ def test_train_config_file_is_checked_before_training(tmp_path, corpus, capsys, 
     assert not out.exists()
 
 
+# a wrong JSON type, or a range that only a part's own config checks
+BAD_MODEL_VALUES = [
+    ({"d": "4"}, "d must be an integer, got '4'"),
+    ({"unet_heads": 2}, "unet_heads must be a list of integers, got 2"),
+    ({"tau": 180.5}, "tau must be an integer, got 180.5"),
+    ({"unet_levels": 3, "unet_heads": [1, 2, 2, 4], "unet_channels": [4, 8, 8, 16],
+      "unet_blocks": [1, 1, 1, 1]}, "heads has 4 entries for 3 levels"),
+]
+BAD_MODEL_IDS = ["string-d", "int-heads", "float-tau", "levels-vs-lists"]
+
+
+@pytest.mark.parametrize("model, message", BAD_MODEL_VALUES, ids=BAD_MODEL_IDS)
+def test_bad_model_config_exits_one_naming_file_section_and_field_before_the_corpus(
+        tmp_path, monkeypatch, capsys, model, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {**TINY["model"], **model}, "train": TINY["train"]}))
+
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("the corpus was read before the config was checked")
+    monkeypatch.setattr(cli, "load_corpus", no_corpus)
+    out = tmp_path / "ckpt"
+    assert dispatch(["train", "--config", str(cfg), "--data", str(tmp_path / "corpus"),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: model: {message}\n"
+    assert not out.exists()
+
+
 def test_separate_and_replay_bit_identical(tmp_path, corpus, ckpt):
     out1 = tmp_path / "sep1"
     rc = dispatch(["separate", "--ckpt", str(ckpt),

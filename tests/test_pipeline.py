@@ -365,6 +365,51 @@ def test_checkpoint_unknown_model_key_rejected(tmp_path, monkeypatch):
         load_checkpoint(tmp_path / "ck")
 
 
+@pytest.mark.parametrize("model, message", [
+    ({"d": "4"}, "d must be an integer, got '4'"),
+    ({"unet_heads": 2}, "unet_heads must be a list of integers, got 2"),
+    ({"tau": 180.5}, "tau must be an integer, got 180.5"),
+    ({"unet_levels": 3}, "heads has 2 entries for 3 levels"),
+], ids=["string-d", "int-heads", "float-tau", "levels-vs-lists"])
+def test_checkpoint_bad_model_config_rejected_naming_the_file(tmp_path, monkeypatch, model,
+                                                              message):
+    save_checkpoint(SeparationModel(tiny_config()), tmp_path / "ck")
+    rewrite_meta(tmp_path / "ck", lambda m: m["model"].update(model))
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built before its config was checked")
+    monkeypatch.setattr(pipeline, "SeparationModel", no_model)
+    path = tmp_path / "ck" / "checkpoint.json"
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: model: {message}")):
+        load_checkpoint(tmp_path / "ck")
+
+
+@pytest.mark.parametrize("field, value, want", [
+    ("d", "4", "an integer"), ("n_tracers", 2.0, "an integer"), ("init_seed", True, "an integer"),
+    ("beta_end", "0.9", "a real number"), ("alpha", None, "a real number"),
+    ("unet_heads", (1, 2), "a list of integers"), ("unet_blocks", [1, 1.0], "a list of integers"),
+    ("unet_channels", [4, False], "a list of integers")])
+def test_model_config_rejects_wrong_types(field, value, want):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {want}, got {value!r}")):
+        tiny_config(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("tau", 300, "tau 300 outside [0, 255]"), ("alpha", 1.5, "alpha 1.5 outside [0, 1]"),
+    ("diffusion_steps", 0, "need at least one step"),
+    ("beta_end", 0.05, "invalid beta range [0.1, 0.05]"),
+    ("lpeb_width", 0, "channel width must be positive"),
+    ("unet_channels", [4, 6], "channels above level 0 must be divisible by 4"),
+    ("gdfn_expansion", 0.5, "gdfn expansion must be >= 1")])
+def test_model_config_checks_every_part_range_when_built(field, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        tiny_config(**{field: value})
+
+
+def test_model_config_accepts_numpy_scalars():
+    tiny_config(d=np.int64(4), tau=np.uint8(180), alpha=np.float32(0.5), gdfn_expansion=2)
+
+
 def test_checkpoint_directory_without_metadata_rejected(tmp_path):
     save_checkpoint(SeparationModel(tiny_config()), tmp_path / "ck")
     (tmp_path / "ck" / "checkpoint.json").unlink()
