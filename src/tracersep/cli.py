@@ -221,6 +221,19 @@ def cmd_sweep_tau(args):
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low; argparse names the flag."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tracersep",
@@ -231,8 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("phantom", help="generate a synthetic phantom corpus")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=4)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
+    p.add_argument("--count", type=_int_at_least(1), default=4)
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_phantom)
@@ -248,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separate", help="separate a dual-tracer image")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--tau", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -271,24 +284,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--taus", default="120,150,180,200")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_tau)
 
     return parser
 
 
-def dispatch(argv: list[str]) -> int:
+def _recorded_argv(path) -> list[str]:
+    """The argv that the run manifest at path recorded."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except OSError as err:
+        raise ValueError(f"{path}: {err.strerror or err}") from None
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ValueError(f"{path}: not valid JSON: {err}") from None
+    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(argv, list) and all(isinstance(arg, str) for arg in argv)):
+        raise ValueError(f"{path}: holds no argv list of strings")
+    return argv
+
+
+def dispatch(argv: list[str], replaying=None) -> int:
     """Run argv's subcommand, then write its manifest.json: a run that fails
-    leaves none."""
+    leaves none. replaying is the manifest argv was recorded in, if any."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.replay:
-        recorded = json.loads(Path(args.replay).read_text())["argv"]
-        return dispatch(recorded)
+        try:
+            if replaying is not None:
+                raise ValueError(f"{replaying}: its argv holds --replay")
+            recorded = _recorded_argv(args.replay)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        return dispatch(recorded, replaying=args.replay)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2

@@ -87,6 +87,11 @@ class DenoiserConfig:
     hidden: int = 64
     steps: int = 4
 
+    def __post_init__(self):
+        for name in ("d", "n_tracers", "hidden", "steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"denoiser {name} must be >= 1, got {getattr(self, name)}")
+
 
 class Denoiser(T.Module):
     """MLP over (flattened noisy latent, condition vector, one-hot timestep)."""

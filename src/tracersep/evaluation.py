@@ -122,8 +122,6 @@ class PhantomPair:
     dual: np.ndarray
     singles: list
     region_masks: dict  # "{name}_t{k}" -> binary array
-    seed: int
-    spec: PhantomSpec
     # texture masks of (dual, *singles) by tau, filled by training on first
     # use: a pair's images never change, so neither do their masks
     _texture_masks: dict = field(default_factory=dict, init=False, repr=False,
@@ -172,8 +170,7 @@ def gen_phantom(seed: int, spec: PhantomSpec | None = None) -> PhantomPair:
         masks[f"lesion_t{k}"] = (single >= 0.6 * single.max()).astype(np.float64)
         masks[f"background_t{k}"] = (pattern <= 0.02).astype(np.float64)
     dual = np.sum(singles, axis=0)
-    return PhantomPair(dual=dual, singles=singles, region_masks=masks,
-                       seed=seed, spec=spec)
+    return PhantomPair(dual=dual, singles=singles, region_masks=masks)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +242,6 @@ def write_metrics_csv(rows: list[MetricsRow], path) -> None:
         writer.writerow(["phantom_id", "tracer", "psnr_db", "ssim", "nrmse", "cr", "cov"])
         for r in rows:
             writer.writerow([
-                r.phantom_id, r.tracer,
-                "inf" if math.isinf(r.psnr_db) else f"{r.psnr_db:.9g}",
-                f"{r.ssim:.9g}", f"{r.nrmse:.9g}", f"{r.cr:.9g}", f"{r.cov:.9g}",
+                r.phantom_id, r.tracer, f"{r.psnr_db:.9g}", f"{r.ssim:.9g}",
+                f"{r.nrmse:.9g}", f"{r.cr:.9g}", f"{r.cov:.9g}",
             ])

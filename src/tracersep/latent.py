@@ -31,6 +31,10 @@ class LpebConfig:
             raise ValueError("channel width must be positive")
         if self.n_heads < 1:
             raise ValueError("need at least one head")
+        if self.d < 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
+        if self.res_blocks < 0:
+            raise ValueError(f"res_blocks must be >= 0, got {self.res_blocks}")
 
 
 class PriorEncoder(T.Module):

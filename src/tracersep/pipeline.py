@@ -82,6 +82,8 @@ class ModelConfig:
 
     def __post_init__(self):
         check_types(self)
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be >= 0, got {self.init_seed}")
         self.parts()  # each part's config checks its own ranges
 
     def parts(self):

@@ -49,10 +49,14 @@ class UNetConfig:
     d: int = 256
 
     def __post_init__(self):
-        for name, lst in (("heads", self.heads), ("channels", self.channels),
-                          ("blocks", self.blocks)):
+        if self.levels < 1:
+            raise ValueError(f"need at least one level, got {self.levels}")
+        for name, lst, low in (("heads", self.heads, 1), ("channels", self.channels, 1),
+                               ("blocks", self.blocks, 0)):
             if len(lst) != self.levels:
                 raise ValueError(f"{name} has {len(lst)} entries for {self.levels} levels")
+            if min(lst) < low:
+                raise ValueError(f"{name} must each be >= {low}, got {lst}")
         for h, c in zip(self.heads, self.channels):
             if c % h:
                 raise ValueError(f"{h} heads do not divide {c} channels")

@@ -111,6 +111,42 @@ def test_a_manifest_with_a_removed_train_flag_is_a_usage_error(tmp_path, corpus,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("write, message", [
+    (None, "No such file or directory"),
+    (lambda path: path.write_text("[1"), "not valid JSON"),
+    (lambda path: path.write_text('{"command": "phantom"}'), "holds no argv list of strings"),
+    (lambda path: path.write_text('{"argv": "phantom"}'), "holds no argv list of strings"),
+    (lambda path: path.write_text(json.dumps({"argv": ["--replay", str(path)]})),
+     "its argv holds --replay"),
+    (lambda path: path.write_text(json.dumps({"argv": ["--repl", str(path)]})),
+     "its argv holds --replay"),
+], ids=["missing", "not-json", "no-argv", "argv-string", "replays-itself", "abbreviated"])
+def test_a_bad_replay_manifest_exits_one_naming_it(tmp_path, capsys, write, message):
+    manifest = tmp_path / "manifest.json"
+    if write is not None:
+        write(manifest)
+    assert dispatch(["--replay", str(manifest)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["phantom", "--seed", "-1"], "--seed", "must be >= 0, got -1"),
+    (["phantom", "--seed", "0", "--count", "0"], "--count", "must be >= 1, got 0"),
+    (["phantom", "--seed", "1.5"], "--seed", "expected an integer, got '1.5'"),
+    (["separate", "--ckpt", "k", "--input", "i", "--seed", "-1"], "--seed", "must be >= 0"),
+    (["sweep-tau", "--ckpt", "k", "--data", "d", "--seed", "-3"], "--seed", "must be >= 0"),
+], ids=["phantom-seed", "phantom-count", "phantom-float-seed", "separate-seed",
+        "sweep-tau-seed"])
+def test_negative_seed_or_empty_count_is_a_usage_error_naming_the_flag(tmp_path, capsys,
+                                                                       argv, flag, message):
+    out = tmp_path / "out"
+    assert dispatch(argv + ["--out", str(out)]) == 2
+    assert f"error: argument {flag}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_no_command_exits_two():
     assert dispatch([]) == 2
 

@@ -396,14 +396,28 @@ def test_model_config_rejects_wrong_types(field, value, want):
 
 @pytest.mark.parametrize("field, value, message", [
     ("tau", 300, "tau 300 outside [0, 255]"), ("alpha", 1.5, "alpha 1.5 outside [0, 1]"),
-    ("diffusion_steps", 0, "need at least one step"),
+    ("diffusion_steps", 0, "denoiser steps must be >= 1, got 0"),
     ("beta_end", 0.05, "invalid beta range [0.1, 0.05]"),
     ("lpeb_width", 0, "channel width must be positive"),
     ("unet_channels", [4, 6], "channels above level 0 must be divisible by 4"),
-    ("gdfn_expansion", 0.5, "gdfn expansion must be >= 1")])
+    ("gdfn_expansion", 0.5, "gdfn expansion must be >= 1"),
+    ("d", 0, "d must be >= 1, got 0"), ("lpeb_res_blocks", -1, "res_blocks must be >= 0"),
+    ("n_tracers", 0, "need at least one head"),
+    ("denoiser_hidden", 0, "denoiser hidden must be >= 1, got 0"),
+    ("unet_heads", [0, 2], "heads must each be >= 1, got [0, 2]"),
+    ("unet_channels", [0, 8], "channels must each be >= 1, got [0, 8]"),
+    ("unet_blocks", [1, -1], "blocks must each be >= 0, got [1, -1]"),
+    ("init_seed", -1, "init_seed must be >= 0, got -1")])
 def test_model_config_checks_every_part_range_when_built(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         tiny_config(**{field: value})
+
+
+def test_model_config_accepts_empty_blocks_and_one_level():
+    tiny_config(lpeb_res_blocks=0, unet_blocks=[0, 0])
+    tiny_config(unet_levels=1, unet_heads=[1], unet_channels=[4], unet_blocks=[1])
+    with pytest.raises(ValueError, match=re.escape("need at least one level, got 0")):
+        tiny_config(unet_levels=0, unet_heads=[], unet_channels=[], unet_blocks=[])
 
 
 def test_model_config_accepts_numpy_scalars():
