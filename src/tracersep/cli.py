@@ -203,8 +203,7 @@ def run_sweep_tau(ckpt_dir, corpus_dir, taus: list[int], seed: int = 0):
 
 
 def cmd_sweep_tau(args):
-    taus = [int(t) for t in args.taus.split(",")]
-    rows = run_sweep_tau(args.ckpt, args.data, taus, seed=args.seed)
+    rows = run_sweep_tau(args.ckpt, args.data, args.taus, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
@@ -213,7 +212,7 @@ def cmd_sweep_tau(args):
         for r in rows:
             writer.writerow([r["tau"], f"{r['psnr_db']:.9g}", f"{r['ssim']:.9g}",
                              f"{r['nrmse']:.9g}", f"{r['mask_density']:.9g}"])
-    return (out.parent, {"taus": taus, "seed": args.seed}, args.seed,
+    return (out.parent, {"taus": args.taus, "seed": args.seed}, args.seed,
             [str(args.ckpt), str(args.data)], [out.name], args.ckpt)
 
 
@@ -232,6 +231,15 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
     return parse
+
+
+def _int_list(text: str) -> list[int]:
+    """An argparse type: comma-separated integers."""
+    try:
+        return [int(t) for t in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON object with 'model' and 'train' sections, which "
                                    "hold every setting; defaults without it")
     p.add_argument("--data", required=True)
-    p.add_argument("--log-every", type=int, default=0)
+    p.add_argument("--log-every", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-tau", help="texture-threshold sweep over a corpus")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--taus", default="120,150,180,200")
+    p.add_argument("--taus", type=_int_list, default="120,150,180,200")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_tau)

@@ -137,10 +137,13 @@ def test_a_bad_replay_manifest_exits_one_naming_it(tmp_path, capsys, write, mess
     (["phantom", "--seed", "1.5"], "--seed", "expected an integer, got '1.5'"),
     (["separate", "--ckpt", "k", "--input", "i", "--seed", "-1"], "--seed", "must be >= 0"),
     (["sweep-tau", "--ckpt", "k", "--data", "d", "--seed", "-3"], "--seed", "must be >= 0"),
+    (["sweep-tau", "--ckpt", "k", "--data", "d", "--taus", "120,"], "--taus",
+     "expected comma-separated integers, got '120,'"),
+    (["train", "--data", "d", "--log-every", "-1"], "--log-every", "must be >= 0, got -1"),
 ], ids=["phantom-seed", "phantom-count", "phantom-float-seed", "separate-seed",
-        "sweep-tau-seed"])
-def test_negative_seed_or_empty_count_is_a_usage_error_naming_the_flag(tmp_path, capsys,
-                                                                       argv, flag, message):
+        "sweep-tau-seed", "sweep-tau-taus", "train-log-every"])
+def test_a_bad_integer_flag_is_a_usage_error_naming_it(tmp_path, capsys, argv, flag,
+                                                       message):
     out = tmp_path / "out"
     assert dispatch(argv + ["--out", str(out)]) == 2
     assert f"error: argument {flag}: {message}" in capsys.readouterr().err
