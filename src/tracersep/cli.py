@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from . import tensor as T
-from .evaluation import (MetricsRow, PhantomPair, PhantomSpec, corpus_files,
-                         evaluate_pair, load_corpus, save_corpus, write_metrics_csv)
+from .evaluation import (MetricsRow, PhantomSpec, corpus_files, evaluate_pair,
+                         load_corpus, save_corpus, write_metrics_csv)
 from .pipeline import (ARCHIVE, META, ModelConfig, SeparationModel, TrainConfig,
                        load_checkpoint, read_config, save_checkpoint, separate, train)
 from .tensor import load_tsr, save_tsr
@@ -127,29 +127,17 @@ def cmd_separate(args):
             [str(args.input), str(args.ckpt)], outputs, args.ckpt)
 
 
-def _load_region_masks(regions_dir: Path, idx: int, pair: PhantomPair) -> dict:
-    masks = {}
-    for name in pair.region_masks:
-        path = regions_dir / f"p{idx:04d}_mask_{name}.tsr"
-        masks[name] = load_tsr(path) if path.exists() else pair.region_masks[name]
-    return masks
-
-
-def evaluate_predictions(pred_dir, truth_dir, regions_dir=None) -> list[MetricsRow]:
-    pred_dir = Path(pred_dir)
-    pairs = load_corpus(truth_dir)
+def evaluate_predictions(pred_dir, truth_dir) -> list[MetricsRow]:
     rows = []
-    for idx, pair in enumerate(pairs):
-        if regions_dir is not None:
-            pair.region_masks = _load_region_masks(Path(regions_dir), idx, pair)
+    for idx, pair in enumerate(load_corpus(truth_dir)):
         for k in range(len(pair.singles)):
-            pred = load_tsr(pred_dir / f"p{idx:04d}_t{k}.tsr")
+            pred = load_tsr(Path(pred_dir) / f"p{idx:04d}_t{k}.tsr")
             rows.append(evaluate_pair(pred, pair, k, f"p{idx:04d}"))
     return rows
 
 
 def cmd_evaluate(args):
-    rows = evaluate_predictions(args.pred, args.truth, args.regions)
+    rows = evaluate_predictions(args.pred, args.truth)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(rows, out)
@@ -278,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score predictions against a corpus")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--regions", default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -177,15 +177,22 @@ def gen_phantom(seed: int, spec: PhantomSpec | None = None) -> PhantomPair:
 # corpus persistence and reports
 # ---------------------------------------------------------------------------
 
+def _image_files(idx: int, n_tracers: int) -> tuple[str, list[str], dict[str, str]]:
+    """The .tsr file names of corpus image idx: dual, singles, region masks by name."""
+    stem = f"p{idx:04d}"
+    return (f"{stem}_dual.tsr", [f"{stem}_single{k}.tsr" for k in range(n_tracers)],
+            {name: f"{stem}_mask_{name}.tsr" for k in range(n_tracers)
+             for name in (f"lesion_t{k}", f"background_t{k}")})
+
+
 def corpus_files(pairs: list[PhantomPair]) -> Iterator[tuple[str, np.ndarray]]:
     """(file name, array) of each .tsr file save_corpus writes for these pairs."""
     for idx, pair in enumerate(pairs):
-        stem = f"p{idx:04d}"
-        yield f"{stem}_dual.tsr", pair.dual
-        for k, single in enumerate(pair.singles):
-            yield f"{stem}_single{k}.tsr", single
-        for name, mask in pair.region_masks.items():
-            yield f"{stem}_mask_{name}.tsr", mask
+        dual, singles, masks = _image_files(idx, len(pair.singles))
+        yield dual, pair.dual
+        yield from zip(singles, pair.singles)
+        for name, file in masks.items():
+            yield file, pair.region_masks[name]
 
 
 def save_corpus(out_dir, seeds: list[int], spec: PhantomSpec | None = None) -> list[PhantomPair]:
@@ -202,11 +209,22 @@ def save_corpus(out_dir, seeds: list[int], spec: PhantomSpec | None = None) -> l
 
 
 def load_corpus(corpus_dir) -> list[PhantomPair]:
-    """Regenerate the corpus from its manifest (bit-identical by construction)."""
-    path = Path(corpus_dir) / "corpus.json"
-    manifest = json.loads(path.read_text())
+    """Read the corpus's .tsr files; corpus.json gives the image and tracer counts."""
+    root = Path(corpus_dir)
+    manifest = json.loads((root / "corpus.json").read_text())
     spec = PhantomSpec(**manifest["spec"])
-    return [gen_phantom(seed, spec) for seed in manifest["seeds"]]
+    pairs = []
+    for idx in range(len(manifest["seeds"])):
+        dual, singles, masks = _image_files(idx, spec.n_tracers)
+        images = {name: load_tsr(root / name) for name in (dual, *singles, *masks.values())}
+        h_w = images[dual].shape[-2:]
+        for name, image in images.items():
+            if image.ndim != 2 or image.shape != h_w:
+                raise ValueError(f"{root / name} has shape {image.shape}, not the (H, W) "
+                                 f"{h_w} of {dual}")
+        pairs.append(PhantomPair(dual=images[dual], singles=[images[n] for n in singles],
+                                 region_masks={k: images[n] for k, n in masks.items()}))
+    return pairs
 
 
 @dataclass

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -430,14 +431,14 @@ def test_evaluate_regions_replace_only_the_masks_they_hold(tmp_path, corpus):
     pair = load_corpus(corpus)[0]
     background = pair.region_masks["background_t0"]
     regions = tmp_path / "regions"
-    regions.mkdir()
-    # one altered lesion mask; every other mask falls back to the corpus's
+    shutil.copytree(corpus, regions)
+    # one altered lesion mask in a copy of the corpus; every other file is the same
     save_tsr(regions / "p0000_mask_lesion_t0.tsr", background)
     lines = {}
-    for name, extra in (("plain", []), ("regions", ["--regions", str(regions)])):
+    for name, truth in (("plain", corpus), ("regions", regions)):
         out = tmp_path / f"{name}.csv"
-        assert dispatch(["evaluate", "--pred", str(pred), "--truth", str(corpus),
-                         "--out", str(out)] + extra) == 0
+        assert dispatch(["evaluate", "--pred", str(pred), "--truth", str(truth),
+                         "--out", str(out)]) == 0
         lines[name] = out.read_text().strip().split("\n")
     plain, altered = lines["plain"], lines["regions"]
     assert len(altered) == len(plain) == 5
@@ -447,6 +448,46 @@ def test_evaluate_regions_replace_only_the_masks_they_hold(tmp_path, corpus):
     assert altered[1].split(",")[cr_col] == f"{want:.9g}"
     assert altered[1].split(",")[cr_col] != plain[1].split(",")[cr_col]
     assert altered[1].split(",")[:cr_col] == plain[1].split(",")[:cr_col]
+
+
+def test_evaluate_scores_against_the_corpus_files(tmp_path, corpus):
+    pred = _truth_as_predictions(tmp_path / "pred", corpus)
+    edited = tmp_path / "edited"
+    shutil.copytree(corpus, edited)
+    halved = load_tsr(corpus / "p0000_single0.tsr") / 2
+    save_tsr(edited / "p0000_single0.tsr", halved)
+    assert np.array_equal(load_corpus(edited)[0].singles[0], halved)
+    lines = {}
+    for truth in (corpus, edited):
+        out = tmp_path / f"{truth.name}.csv"
+        assert dispatch(["evaluate", "--pred", str(pred), "--truth", str(truth),
+                         "--out", str(out)]) == 0
+        lines[truth.name] = out.read_text().strip().split("\n")
+    assert lines["edited"][1] != lines["corpus"][1]
+    assert lines["edited"][2:] == lines["corpus"][2:]
+
+
+@pytest.mark.parametrize("name, replacement, message", [
+    ("p0001_single1.tsr", None, "No such file or directory"),
+    ("p0000_mask_background_t1.tsr", None, "No such file or directory"),
+    ("p0000_single0.tsr", np.ones((8, 7)),
+     "has shape (8, 7), not the (H, W) (8, 8) of p0000_dual.tsr"),
+    ("p0001_mask_lesion_t0.tsr", np.ones((9, 9)), "has shape (9, 9)"),
+    ("p0000_dual.tsr", np.ones((2, 8, 8)), "has shape (2, 8, 8)"),
+], ids=["missing-single", "missing-mask", "narrow-single", "wide-mask", "stacked-dual"])
+def test_evaluate_rejects_a_missing_or_misshapen_corpus_file_naming_it(
+        tmp_path, corpus, capsys, name, replacement, message):
+    pred = _truth_as_predictions(tmp_path / "pred", corpus)
+    if replacement is None:
+        (corpus / name).unlink()
+    else:
+        save_tsr(corpus / name, replacement)
+    out = tmp_path / "e" / "metrics.csv"
+    assert dispatch(["evaluate", "--pred", str(pred), "--truth", str(corpus),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(corpus / name) in err and message in err
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("command", ["separate", "lbp"])

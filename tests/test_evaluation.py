@@ -169,13 +169,17 @@ def test_phantom_spec_validation():
 
 def test_corpus_roundtrip_bit_identical(tmp_path):
     seeds = [4, 9, 11]
-    saved = save_corpus(tmp_path / "corpus", seeds)
-    loaded = load_corpus(tmp_path / "corpus")
-    assert len(loaded) == 3
-    for a, b in zip(saved, loaded):
-        assert np.array_equal(a.dual, b.dual)
-        for s, t in zip(a.singles, b.singles):
-            assert np.array_equal(s, t)
+    for n_tracers in (2, 3):
+        out = tmp_path / f"corpus{n_tracers}"
+        saved = save_corpus(out, seeds, PhantomSpec(n_tracers=n_tracers))
+        loaded = load_corpus(out)
+        assert len(loaded) == 3
+        for a, b in zip(saved, loaded):
+            assert len(b.singles) == n_tracers
+            assert list(b.region_masks) == list(a.region_masks)
+            for s, t in zip([a.dual, *a.singles, *a.region_masks.values()],
+                            [b.dual, *b.singles, *b.region_masks.values()]):
+                assert t.dtype == s.dtype and np.array_equal(s, t)
 
 
 def test_evaluate_pair_and_csv(tmp_path):
