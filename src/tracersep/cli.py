@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phantom", help="generate a synthetic phantom corpus")
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--count", type=_int_at_least(1), default=4)
-    p.add_argument("--size", type=int, default=32)
+    p.add_argument("--size", type=_int_at_least(4), default=32)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_phantom)
 

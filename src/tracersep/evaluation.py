@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .pipeline import check_types, read_config
 from .tensor import load_tsr, make_rng, save_tsr
 
 
@@ -109,6 +110,7 @@ class PhantomSpec:
     background: float = 0.05
 
     def __post_init__(self):
+        check_types(self)
         if self.size < 4:
             raise ValueError("phantom size too small")
         if self.n_tracers < 1:
@@ -211,8 +213,14 @@ def save_corpus(out_dir, seeds: list[int], spec: PhantomSpec | None = None) -> l
 def load_corpus(corpus_dir) -> list[PhantomPair]:
     """Read the corpus's .tsr files; corpus.json gives the image and tracer counts."""
     root = Path(corpus_dir)
-    manifest = json.loads((root / "corpus.json").read_text())
-    spec = PhantomSpec(**manifest["spec"])
+    path = root / "corpus.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ValueError(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("seeds"), list):
+        raise ValueError(f"{path} holds no JSON object with a seeds list")
+    spec = read_config(PhantomSpec, manifest.get("spec", {}), path, "spec")
     pairs = []
     for idx in range(len(manifest["seeds"])):
         dual, singles, masks = _image_files(idx, spec.n_tracers)

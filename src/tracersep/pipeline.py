@@ -8,17 +8,20 @@ import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .diffusion import (Denoiser, DenoiserConfig, build_schedule, denoise_full,
                         forward_sample, loss_dm)
-from .evaluation import PhantomPair
 from .latent import LpebConfig, PriorEncoder, extract_condition, extract_msp
 from .tensor import Adam, Tensor, make_rng, no_grad
 from .texture import TextureConfig, fuse, image_mask, masked_texture
 from .transformer import UNet, UNetConfig, unet_forward
+
+if TYPE_CHECKING:  # evaluation reads its corpus.json through read_config
+    from .evaluation import PhantomPair
 
 
 # what a field's annotation admits; bool is an Integral, and numpy's integer
@@ -82,8 +85,12 @@ class ModelConfig:
 
     def __post_init__(self):
         check_types(self)
-        if self.init_seed < 0:
-            raise ValueError(f"init_seed must be >= 0, got {self.init_seed}")
+        # beta_start 0 makes alpha_bar 1 at step 1, where reverse_step cannot
+        # remove a nonzero noise estimate
+        for name, ok, want in (("init_seed", self.init_seed >= 0, ">= 0"),
+                               ("beta_start", self.beta_start > 0, "> 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)}")
         self.parts()  # each part's config checks its own ranges
 
     def parts(self):
@@ -352,9 +359,8 @@ def _read_meta(root: Path) -> tuple[dict, ModelConfig]:
     missing = [key for key in ("model", "names", "sha256") if key not in meta]
     if missing:
         raise CheckpointError(f"{meta_path} lacks {', '.join(missing)}")
-    for key, kind, what in (("model", dict, "an object"), ("names", list, "a list")):
-        if not isinstance(meta[key], kind):
-            raise CheckpointError(f"{meta_path}: {key} is not {what}")
+    if not isinstance(meta["names"], list):
+        raise CheckpointError(f"{meta_path}: names is not a list")
     try:
         return meta, read_config(ModelConfig, meta["model"], meta_path, "model")
     except ValueError as err:

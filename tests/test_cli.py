@@ -102,13 +102,19 @@ def test_train_offers_only_config_data_log_every_and_out(capsys):
     assert flags == {"--help", "--config", "--data", "--log-every", "--out"}
 
 
-def test_a_manifest_with_a_removed_train_flag_is_a_usage_error(tmp_path, corpus, capsys):
-    out = tmp_path / "ckpt"
+@pytest.mark.parametrize("argv, removed", [
+    (["train", "--data", "{corpus}", "--steps", "1"], "--steps 1"),
+    (["evaluate", "--pred", "{corpus}", "--truth", "{corpus}", "--regions", "{corpus}"],
+     "--regions {corpus}"),
+], ids=["train-steps", "evaluate-regions"])
+def test_a_manifest_with_a_removed_flag_is_a_usage_error(tmp_path, corpus, capsys, argv,
+                                                         removed):
+    out = tmp_path / "out"
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"argv": ["train", "--data", str(corpus), "--steps", "1",
-                                             "--out", str(out)]}))
+    argv = [arg.format(corpus=corpus) for arg in argv] + ["--out", str(out)]
+    manifest.write_text(json.dumps({"argv": argv}))
     assert dispatch(["--replay", str(manifest)]) == 2
-    assert "unrecognized arguments: --steps 1" in capsys.readouterr().err
+    assert f"unrecognized arguments: {removed.format(corpus=corpus)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -141,8 +147,9 @@ def test_a_bad_replay_manifest_exits_one_naming_it(tmp_path, capsys, write, mess
     (["sweep-tau", "--ckpt", "k", "--data", "d", "--taus", "120,"], "--taus",
      "expected comma-separated integers, got '120,'"),
     (["train", "--data", "d", "--log-every", "-1"], "--log-every", "must be >= 0, got -1"),
+    (["phantom", "--seed", "0", "--size", "0"], "--size", "must be >= 4, got 0"),
 ], ids=["phantom-seed", "phantom-count", "phantom-float-seed", "separate-seed",
-        "sweep-tau-seed", "sweep-tau-taus", "train-log-every"])
+        "sweep-tau-seed", "sweep-tau-taus", "train-log-every", "phantom-size"])
 def test_a_bad_integer_flag_is_a_usage_error_naming_it(tmp_path, capsys, argv, flag,
                                                        message):
     out = tmp_path / "out"
@@ -487,6 +494,27 @@ def test_evaluate_rejects_a_missing_or_misshapen_corpus_file_naming_it(
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert str(corpus / name) in err and message in err
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda path: path.write_text("seeds: [1]"), " is not valid JSON"),
+    (lambda path: path.write_text('{"spec": {}}'), " holds no JSON object with a seeds list"),
+    (lambda path: path.write_text('{"seeds": 2, "spec": {}}'),
+     " holds no JSON object with a seeds list"),
+    (lambda path: path.write_text('{"seeds": [1, 2], "spec": {"colour": "red"}}'),
+     " has unknown spec keys colour"),
+    (lambda path: path.write_text('{"seeds": [1, 2], "spec": {"size": "8"}}'),
+     ": spec: size must be an integer, got '8'"),
+], ids=["not-json", "no-seeds", "int-seeds", "unknown-spec-key", "string-size"])
+def test_evaluate_rejects_a_bad_corpus_json_naming_it(tmp_path, corpus, capsys, write,
+                                                      message):
+    pred = _truth_as_predictions(tmp_path / "pred", corpus)
+    write(corpus / "corpus.json")
+    out = tmp_path / "e" / "metrics.csv"
+    assert dispatch(["evaluate", "--pred", str(pred), "--truth", str(corpus),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {corpus / 'corpus.json'}{message}")
     assert not out.parent.exists()
 
 

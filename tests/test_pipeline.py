@@ -343,7 +343,7 @@ def test_checkpoint_missing_meta_key_rejected(tmp_path, key):
     (lambda path: path.write_bytes(b"\xff\xfe{}"), " is not valid JSON"),
     (lambda path: path.write_text("[3]"), " holds no JSON object"),
     (lambda path: rewrite_meta(path.parent, lambda m: m.update(model=[1])),
-     ": model is not an object"),
+     ": model is a list, not a JSON object"),
     (lambda path: rewrite_meta(path.parent, lambda m: m.update(names="msp.conv_in.w")),
      ": names is not a list")], ids=["truncated", "not-utf8", "array", "model", "names"])
 def test_unreadable_checkpoint_meta_rejected_naming_the_file(tmp_path, damage, message):
@@ -398,6 +398,7 @@ def test_model_config_rejects_wrong_types(field, value, want):
     ("tau", 300, "tau 300 outside [0, 255]"), ("alpha", 1.5, "alpha 1.5 outside [0, 1]"),
     ("diffusion_steps", 0, "denoiser steps must be >= 1, got 0"),
     ("beta_end", 0.05, "invalid beta range [0.1, 0.05]"),
+    ("beta_start", 0.0, "beta_start must be > 0, got 0.0"),
     ("lpeb_width", 0, "channel width must be positive"),
     ("unet_channels", [4, 6], "channels above level 0 must be divisible by 4"),
     ("gdfn_expansion", 0.5, "gdfn expansion must be >= 1"),
