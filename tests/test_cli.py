@@ -497,20 +497,17 @@ def test_evaluate_rejects_a_missing_or_misshapen_corpus_file_naming_it(
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("write, message", [
-    (lambda path: path.write_text("seeds: [1]"), " is not valid JSON"),
-    (lambda path: path.write_text('{"spec": {}}'), " holds no JSON object with a seeds list"),
-    (lambda path: path.write_text('{"seeds": 2, "spec": {}}'),
-     " holds no JSON object with a seeds list"),
-    (lambda path: path.write_text('{"seeds": [1, 2], "spec": {"colour": "red"}}'),
-     " has unknown spec keys colour"),
-    (lambda path: path.write_text('{"seeds": [1, 2], "spec": {"size": "8"}}'),
-     ": spec: size must be an integer, got '8'"),
+@pytest.mark.parametrize("text, message", [
+    ("seeds: [1]", " is not valid JSON"),
+    ('{"spec": {}}', " holds no JSON object with a seeds list"),
+    ('{"seeds": 2, "spec": {}}', " holds no JSON object with a seeds list"),
+    ('{"seeds": [1, 2], "spec": {"colour": "red"}}', " has unknown spec keys colour"),
+    ('{"seeds": [1, 2], "spec": {"size": "8"}}', ": spec: size must be an integer, got '8'"),
 ], ids=["not-json", "no-seeds", "int-seeds", "unknown-spec-key", "string-size"])
-def test_evaluate_rejects_a_bad_corpus_json_naming_it(tmp_path, corpus, capsys, write,
+def test_evaluate_rejects_a_bad_corpus_json_naming_it(tmp_path, corpus, capsys, text,
                                                       message):
     pred = _truth_as_predictions(tmp_path / "pred", corpus)
-    write(corpus / "corpus.json")
+    (corpus / "corpus.json").write_text(text)
     out = tmp_path / "e" / "metrics.csv"
     assert dispatch(["evaluate", "--pred", str(pred), "--truth", str(corpus),
                      "--out", str(out)]) == 1

@@ -398,7 +398,6 @@ def test_model_config_rejects_wrong_types(field, value, want):
     ("tau", 300, "tau 300 outside [0, 255]"), ("alpha", 1.5, "alpha 1.5 outside [0, 1]"),
     ("diffusion_steps", 0, "denoiser steps must be >= 1, got 0"),
     ("beta_end", 0.05, "invalid beta range [0.1, 0.05]"),
-    ("beta_start", 0.0, "beta_start must be > 0, got 0.0"),
     ("lpeb_width", 0, "channel width must be positive"),
     ("unet_channels", [4, 6], "channels above level 0 must be divisible by 4"),
     ("gdfn_expansion", 0.5, "gdfn expansion must be >= 1"),
@@ -408,7 +407,8 @@ def test_model_config_rejects_wrong_types(field, value, want):
     ("unet_heads", [0, 2], "heads must each be >= 1, got [0, 2]"),
     ("unet_channels", [0, 8], "channels must each be >= 1, got [0, 8]"),
     ("unet_blocks", [1, -1], "blocks must each be >= 0, got [1, -1]"),
-    ("init_seed", -1, "init_seed must be >= 0, got -1")])
+    ("init_seed", -1, "init_seed must be >= 0, got -1"),
+    ("beta_start", 0.0, "beta_start must be > 0, got 0.0")])
 def test_model_config_checks_every_part_range_when_built(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         tiny_config(**{field: value})
