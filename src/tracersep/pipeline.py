@@ -20,7 +20,7 @@ from .tensor import Adam, Tensor, make_rng, no_grad
 from .texture import TextureConfig, fuse, image_mask, masked_texture
 from .transformer import UNet, UNetConfig, unet_forward
 
-if TYPE_CHECKING:  # evaluation reads its corpus.json through read_config
+if TYPE_CHECKING:  # evaluation imports read_config from here, so no import back at run time
     from .evaluation import PhantomPair
 
 
