@@ -23,7 +23,8 @@ from . import tensor as T
 from .evaluation import (MetricsRow, PhantomSpec, corpus_files, evaluate_pair,
                          load_corpus, save_corpus, write_metrics_csv)
 from .pipeline import (ARCHIVE, META, ModelConfig, SeparationModel, TrainConfig,
-                       load_checkpoint, read_config, save_checkpoint, separate, train)
+                       load_checkpoint, read_config, read_json, save_checkpoint, separate,
+                       train)
 from .tensor import load_tsr, save_tsr
 from .texture import TextureConfig, lbp_map, masked_texture, texture_mask
 
@@ -82,12 +83,7 @@ TRAIN_SECTIONS = {"model": ModelConfig, "train": TrainConfig}
 def _load_train_config(path) -> tuple[ModelConfig, TrainConfig]:
     """A run's configs from its JSON file, whose sections may leave out any
     field; without a file, the defaults."""
-    try:
-        cfg = json.loads(Path(path).read_text()) if path else {}
-    except ValueError as err:  # not JSON, or not UTF-8
-        raise ValueError(f"{path} is not valid JSON: {err}") from None
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{path} holds a {type(cfg).__name__}, not a JSON object")
+    cfg = read_json(path) if path else {}
     unknown = sorted(set(cfg) - set(TRAIN_SECTIONS))
     if unknown:
         raise ValueError(f"{path} has unknown sections {', '.join(unknown)}")
@@ -131,8 +127,12 @@ def evaluate_predictions(pred_dir, truth_dir) -> list[MetricsRow]:
     rows = []
     for idx, pair in enumerate(load_corpus(truth_dir)):
         for k in range(len(pair.singles)):
-            pred = load_tsr(Path(pred_dir) / f"p{idx:04d}_t{k}.tsr")
-            rows.append(evaluate_pair(pred, pair, k, f"p{idx:04d}"))
+            path = Path(pred_dir) / f"p{idx:04d}_t{k}.tsr"
+            pred = load_tsr(path)
+            try:
+                rows.append(evaluate_pair(pred, pair, k, f"p{idx:04d}"))
+            except (ValueError, ZeroDivisionError) as err:
+                raise ValueError(f"{path}: {err}") from None
     return rows
 
 
@@ -288,13 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _recorded_argv(path) -> list[str]:
     """The argv that the run manifest at path recorded."""
-    try:
-        manifest = json.loads(Path(path).read_text())
-    except OSError as err:
-        raise ValueError(f"{path}: {err.strerror or err}") from None
-    except ValueError as err:  # not JSON, or not UTF-8
-        raise ValueError(f"{path}: not valid JSON: {err}") from None
-    argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    argv = read_json(path).get("argv")
     if not (isinstance(argv, list) and all(isinstance(arg, str) for arg in argv)):
         raise ValueError(f"{path}: holds no argv list of strings")
     return argv

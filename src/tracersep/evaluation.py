@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pipeline import check_types, read_config
+from .pipeline import check_types, read_config, read_json
 from .tensor import load_tsr, make_rng, save_tsr
 
 
@@ -214,11 +214,8 @@ def load_corpus(corpus_dir) -> list[PhantomPair]:
     """Read the corpus's .tsr files; corpus.json gives the image and tracer counts."""
     root = Path(corpus_dir)
     path = root / "corpus.json"
-    try:
-        manifest = json.loads(path.read_text())
-    except ValueError as err:  # not JSON, or not UTF-8
-        raise ValueError(f"{path} is not valid JSON: {err}") from None
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("seeds"), list):
+    manifest = read_json(path)
+    if not isinstance(manifest.get("seeds"), list):
         raise ValueError(f"{path} holds no JSON object with a seeds list")
     spec = read_config(PhantomSpec, manifest.get("spec", {}), path, "spec")
     pairs = []

@@ -49,6 +49,19 @@ def check_types(config) -> None:
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
+def read_json(path) -> dict:
+    """The JSON object in the file at path. Every error names the file."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except OSError as err:
+        raise ValueError(f"{path}: {err.strerror or err}") from None
+    except ValueError as err:  # not JSON, or not UTF-8
+        raise ValueError(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} holds a {type(value).__name__}, not a JSON object")
+    return value
+
+
 def read_config(cls, values, where, section: str):
     """A `cls` config from `values`, the JSON `section` of the file `where`,
     which may leave out any field. Every error names the file and the section."""
@@ -348,11 +361,9 @@ def _read_meta(root: Path) -> tuple[dict, ModelConfig]:
     if not meta_path.is_file():
         raise CheckpointError(f"{root} has no {META}")
     try:
-        meta = json.loads(meta_path.read_text())
-    except ValueError as err:  # not JSON, or not UTF-8
-        raise CheckpointError(f"{meta_path} is not valid JSON: {err}") from None
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"{meta_path} holds no JSON object")
+        meta = read_json(meta_path)
+    except ValueError as err:
+        raise CheckpointError(str(err)) from None
     found = meta.get("format")
     if found != CHECKPOINT_FORMAT:
         raise CheckpointError(f"checkpoint format {found}, expected {CHECKPOINT_FORMAT}")

@@ -119,22 +119,24 @@ def test_a_manifest_with_a_removed_flag_is_a_usage_error(tmp_path, corpus, capsy
 
 
 @pytest.mark.parametrize("write, message", [
-    (None, "No such file or directory"),
-    (lambda path: path.write_text("[1"), "not valid JSON"),
-    (lambda path: path.write_text('{"command": "phantom"}'), "holds no argv list of strings"),
-    (lambda path: path.write_text('{"argv": "phantom"}'), "holds no argv list of strings"),
+    (None, ": No such file or directory"),
+    (lambda path: path.write_text("[1"), " is not valid JSON: "),
+    (lambda path: path.write_text("[]"), " holds a list, not a JSON object"),
+    (lambda path: path.write_text('{"command": "phantom"}'), ": holds no argv list of strings"),
+    (lambda path: path.write_text('{"argv": "phantom"}'), ": holds no argv list of strings"),
     (lambda path: path.write_text(json.dumps({"argv": ["--replay", str(path)]})),
-     "its argv holds --replay"),
+     ": its argv holds --replay"),
     (lambda path: path.write_text(json.dumps({"argv": ["--repl", str(path)]})),
-     "its argv holds --replay"),
-], ids=["missing", "not-json", "no-argv", "argv-string", "replays-itself", "abbreviated"])
+     ": its argv holds --replay"),
+], ids=["missing", "not-json", "list", "no-argv", "argv-string", "replays-itself",
+        "abbreviated"])
 def test_a_bad_replay_manifest_exits_one_naming_it(tmp_path, capsys, write, message):
     manifest = tmp_path / "manifest.json"
     if write is not None:
         write(manifest)
     assert dispatch(["--replay", str(manifest)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {manifest}: ") and message in err
+    assert err.startswith(f"error: {manifest}{message}")
     assert err.count("\n") == 1
 
 
@@ -330,16 +332,18 @@ def test_train_config_out_of_range_exits_one_before_training(tmp_path, corpus, c
     (json.dumps({"model": {**TINY["model"], "depth": 3}}), "has unknown model keys depth"),
     (json.dumps({"train": {"step": 1, "lr": 1e-3}}), "has unknown train keys step"),
     ('{"train": {', "is not valid JSON"),
+    (None, ": No such file or directory"),
     (json.dumps({"train": {"steps": 2.5}}), ": train: steps must be an integer, got 2.5"),
     (json.dumps({"train": {"steps": True}}), ": train: steps must be an integer, got True"),
     (json.dumps({"train": {"lr": "2e-4"}}), ": train: lr must be a real number, got '2e-4'"),
     (json.dumps({"train": {"seed": -1}}), ": train: seed must be >= 0, got -1"),
 ], ids=["misspelt-section", "array", "model-array", "unknown-model-key", "unknown-train-key",
-        "not-json", "float-steps", "bool-steps", "string-lr", "negative-seed"])
+        "not-json", "missing", "float-steps", "bool-steps", "string-lr", "negative-seed"])
 def test_train_config_file_is_checked_before_training(tmp_path, corpus, capsys, text,
                                                       message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(text)
+    if text is not None:
+        cfg.write_text(text)
     out = tmp_path / "ckpt"
     assert dispatch(["train", "--config", str(cfg), "--data", str(corpus),
                      "--out", str(out)]) == 1
@@ -499,19 +503,40 @@ def test_evaluate_rejects_a_missing_or_misshapen_corpus_file_naming_it(
 
 @pytest.mark.parametrize("text, message", [
     ("seeds: [1]", " is not valid JSON"),
+    ("[1, 2]", " holds a list, not a JSON object"),
+    (None, ": No such file or directory"),
     ('{"spec": {}}', " holds no JSON object with a seeds list"),
     ('{"seeds": 2, "spec": {}}', " holds no JSON object with a seeds list"),
     ('{"seeds": [1, 2], "spec": {"colour": "red"}}', " has unknown spec keys colour"),
     ('{"seeds": [1, 2], "spec": {"size": "8"}}', ": spec: size must be an integer, got '8'"),
-], ids=["not-json", "no-seeds", "int-seeds", "unknown-spec-key", "string-size"])
+], ids=["not-json", "list", "missing", "no-seeds", "int-seeds", "unknown-spec-key",
+        "string-size"])
 def test_evaluate_rejects_a_bad_corpus_json_naming_it(tmp_path, corpus, capsys, text,
                                                       message):
     pred = _truth_as_predictions(tmp_path / "pred", corpus)
-    (corpus / "corpus.json").write_text(text)
+    if text is None:
+        (corpus / "corpus.json").unlink()
+    else:
+        (corpus / "corpus.json").write_text(text)
     out = tmp_path / "e" / "metrics.csv"
     assert dispatch(["evaluate", "--pred", str(pred), "--truth", str(corpus),
                      "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {corpus / 'corpus.json'}{message}")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("prediction, message", [
+    (np.ones((8, 7)), ": shape mismatch (8, 7) vs (8, 8)"),
+    (np.zeros((8, 8)), ": zero mean in denominator region"),
+], ids=["narrow", "all-zero"])
+def test_evaluate_names_the_prediction_file_a_metric_rejects(tmp_path, corpus, capsys,
+                                                             prediction, message):
+    pred = _truth_as_predictions(tmp_path / "pred", corpus)
+    save_tsr(pred / "p0001_t1.tsr", prediction)
+    out = tmp_path / "e" / "metrics.csv"
+    assert dispatch(["evaluate", "--pred", str(pred), "--truth", str(corpus),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {pred / 'p0001_t1.tsr'}{message}\n"
     assert not out.parent.exists()
 
 

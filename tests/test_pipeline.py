@@ -197,7 +197,7 @@ def test_nonfinite_diagnostic_names_the_source_on_a_diamond():
     with T.precision("f32"):
         x = Parameter(np.full(3, 1e38), "x")
         c = x * 10.0  # overflows; both branches below inherit the inf
-        assert _first_nonfinite(T.neg(c) + T.abs_(c)) == "mul"
+        assert _first_nonfinite(T.leaky_relu(c) + T.abs_(c)) == "mul"
 
 
 def test_separate_contract():
@@ -341,7 +341,7 @@ def test_checkpoint_missing_meta_key_rejected(tmp_path, key):
 @pytest.mark.parametrize("damage, message", [
     (lambda path: path.write_text(path.read_text()[:40]), " is not valid JSON"),
     (lambda path: path.write_bytes(b"\xff\xfe{}"), " is not valid JSON"),
-    (lambda path: path.write_text("[3]"), " holds no JSON object"),
+    (lambda path: path.write_text("[3]"), " holds a list, not a JSON object"),
     (lambda path: rewrite_meta(path.parent, lambda m: m.update(model=[1])),
      ": model is a list, not a JSON object"),
     (lambda path: rewrite_meta(path.parent, lambda m: m.update(names="msp.conv_in.w")),
