@@ -141,15 +141,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(op={self.op}, shape={self.data.shape}, dtype={self.data.dtype})"
 
@@ -285,12 +276,11 @@ _BINARY = {
     "add": (np.add, lambda g, a, b: g, lambda g, a, b: g),
     "sub": (np.subtract, lambda g, a, b: g, lambda g, a, b: -g),
     "mul": (np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a),
-    "div": (np.divide, lambda g, a, b: g / b, lambda g, a, b: -g * a / (b * b)),
 }
 
 
 def _binary(op: str, a, b) -> Tensor:
-    """The broadcasting kernel under add, sub, mul and div. A number operand
+    """The broadcasting kernel under add, sub and mul. A number operand
     becomes a const in the dtype of the Tensor one."""
     a = _as_tensor(a, b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, a)
@@ -315,21 +305,14 @@ def mul(a, b) -> Tensor:
     return _binary("mul", a, b)
 
 
-def div(a, b) -> Tensor:
-    return _binary("div", a, b)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, (a,), "neg", lambda g: _accum(a, -g))
-
-
 def abs_(a: Tensor) -> Tensor:
     return _result(np.abs(a.data), (a,), "abs", lambda g: _accum(a, g * np.sign(a.data)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b over the last two axes, batched over the leading ones, for two
-    computed operands (attention); a dense layer is `linear`."""
+    """a @ b over the last two axes, batched over the leading ones. No package
+    op calls it: the fused-op oracle's reference does, and perfbench's
+    patch-site test requires it."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError("matmul expects rank >= 2 operands")
 
@@ -370,11 +353,6 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     return _result(a.data.reshape(shape), (a,), "reshape",
                    lambda g: _accum(a, g.reshape(a.data.shape)))
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    return _result(a.data.transpose(axes), (a,), "transpose",
-                   lambda g: _accum(a, g.transpose(np.argsort(axes))))
 
 
 def concat(parts: Iterable[Tensor], axis: int) -> Tensor:
@@ -422,13 +400,6 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
 def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     """The input gradient of a softmax y along axis, given its output gradient g."""
     return _flush_subnormals(y * (g - (g * y).sum(axis=axis, keepdims=True)))
-
-
-def softmax(a: Tensor, axis: int) -> Tensor:
-    if not -a.data.ndim <= axis < a.data.ndim:
-        raise ValueError(f"axis {axis} invalid for shape {a.data.shape}")
-    y = _softmax(a.data, axis)
-    return _result(y, (a,), "softmax", lambda g: _accum(a, _softmax_grad(y, g, axis)))
 
 
 def _flush_subnormals(x: np.ndarray) -> np.ndarray:

@@ -11,9 +11,10 @@ per-branch init did.
 The block then fused its ops: the modulation is one layer_norm node, the
 attention core one channel_attention node, the gate one geglu node, and each
 residual is added inside the output 1x1. The unfused reference below keeps
-the block as split, reshape, transpose, matmul, softmax, gelu, mul and add
-nodes on the fused parameters; f32 toy training and `separate` through it
-must give the same bytes.
+the block as split, reshape, transpose, matmul, div, softmax, gelu, mul and
+add nodes on the fused parameters; f32 toy training and `separate` through it
+must give the same bytes. The package runs no transpose, div or softmax
+node, so those three are defined here on `T._result`.
 """
 import contextlib
 from types import SimpleNamespace
@@ -82,6 +83,28 @@ class PerBranchModulationParams(T.Module):
         self.shift_b = T.zeros_param((channels,), f"{prefix}.shift.b")
 
 
+# -- reference ops the package does not run (test_tensor grad-checks them) --
+
+def transpose(a, axes):
+    return T._result(a.data.transpose(axes), (a,), "transpose",
+                     lambda g: T._accum(a, g.transpose(np.argsort(axes))))
+
+
+def div(a, b):
+    def backward(g):
+        if a.requires_grad:
+            T._accum(a, T._unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            T._accum(b, T._unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+    return T._result(np.divide(a.data, b.data), (a, b), "div", backward)
+
+
+def softmax(a, axis):
+    y = T._softmax(a.data, axis)
+    return T._result(y, (a,), "softmax",
+                     lambda g: T._accum(a, T._softmax_grad(y, g, axis)))
+
+
 # -- per-branch reference: forward ----------------------------------------
 
 def _chain(m, pw, dw):
@@ -90,7 +113,7 @@ def _chain(m, pw, dw):
 
 def _permute_last(x, perm):
     n = x.data.ndim - len(perm)
-    return T.transpose(x, tuple(range(n)) + tuple(n + p for p in perm))
+    return transpose(x, tuple(range(n)) + tuple(n + p for p in perm))
 
 
 def _heads_view(x, heads, perm=(1, 2, 0)):
@@ -106,11 +129,11 @@ def ref_mdta(m, p, residual=None):
     q = _chain(m, p.q_pw, p.q_dw)
     k = _chain(m, p.k_pw, p.k_dw)
     kh = _heads_view(k, heads)
-    qh = T.transpose(_heads_view(q, heads), (0, 2, 1))
-    scores = T.matmul(kh, qh) / (T.abs_(p.gamma) + GAMMA_EPS)
-    attn = T.softmax(scores, axis=-1)
+    qh = transpose(_heads_view(q, heads), (0, 2, 1))
+    scores = div(T.matmul(kh, qh), T.abs_(p.gamma) + GAMMA_EPS)
+    attn = softmax(scores, axis=-1)
     vh = _heads_view(_chain(m, p.v_pw, p.v_dw), heads)
-    y = T.reshape(T.transpose(T.matmul(attn, vh), (2, 0, 1)), (h, w, c))
+    y = T.reshape(transpose(T.matmul(attn, vh), (2, 0, 1)), (h, w, c))
     y = T.conv2d(y, p.out_pw, "pointwise_1x1")
     return y + (m if residual is None else residual)
 
@@ -151,8 +174,8 @@ def unfused_mdta(m, params, residual=None):
     q, k, v = T.split(_chain(m, params.qkv_pw, params.qkv_dw), 3)
     kh = _heads_view(k, heads)
     qh = _heads_view(q, heads, (1, 0, 2))  # (..., heads, HW, C/h)
-    scores = T.matmul(kh, qh) / (T.abs_(params.gamma) + GAMMA_EPS)
-    attn = T.softmax(scores, axis=-1)
+    scores = div(T.matmul(kh, qh), T.abs_(params.gamma) + GAMMA_EPS)
+    attn = softmax(scores, axis=-1)
     mixed = T.matmul(attn, _heads_view(v, heads))  # (..., heads, C/h, HW)
     y = T.reshape(_permute_last(mixed, (2, 0, 1)), (*lead, h, w, c))
     y = T.conv2d(y, params.out_pw, "pointwise_1x1")
@@ -228,12 +251,13 @@ def enliven(mod: ModulationParams, rng):
     mod.b.data[:] += 0.5 * rng.standard_normal(mod.b.data.shape)
 
 
-# -- output and gradient equivalence -----------------------------------------
-
 @pytest.fixture
 def f64():
     with precision("f64"):
         yield
+
+
+# -- output and gradient equivalence -----------------------------------------
 
 
 @pytest.mark.parametrize("channels,heads", [(8, 2), (6, 3), (1, 1)])

@@ -1,10 +1,12 @@
 """Autograd core: op oracles, gradient checks, optimizer, serialization."""
+import ast
 import gc
 import hashlib
 import math
 import tracemalloc
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
+from test_fused_oracle import div, softmax, transpose
 from tracersep import tensor as T
 from tracersep.tensor import (Adam, Parameter, Tensor, grad_check, load_tsr,
                               make_rng, no_grad, precision, save_tsr)
@@ -39,21 +42,19 @@ def test_precision_switch():
             pass
 
 
+# channel_attention's softmax kernel and its gradient, on arrays
+
 def test_softmax_examples():
-    out = T.softmax(Tensor([1.0, 1.0]), axis=0)
-    assert np.allclose(out.data, [0.5, 0.5], atol=1e-12)
-    out = T.softmax(Tensor([0.0]), axis=0)
-    assert np.allclose(out.data, [1.0])
-    out = T.softmax(Tensor([0.0, math.log(3.0)]), axis=0)
-    assert np.allclose(out.data, [0.25, 0.75], atol=1e-12)
+    assert np.allclose(T._softmax(np.array([1.0, 1.0]), 0), [0.5, 0.5], atol=1e-12)
+    assert np.allclose(T._softmax(np.array([0.0]), 0), [1.0])
+    assert np.allclose(T._softmax(np.array([0.0, math.log(3.0)]), 0), [0.25, 0.75],
+                       atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one_extreme():
-    rng = make_rng(3)
-    x = Tensor(rng.uniform(-1e4, 1e4, size=(6, 9)))
-    out = T.softmax(x, axis=1)
-    assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(np.isfinite(out.data))
+    out = T._softmax(make_rng(3).uniform(-1e4, 1e4, size=(6, 9)), 1)
+    assert np.allclose(out.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(np.isfinite(out))
 
 
 @pytest.mark.parametrize("prec", ["f32", "f64"])
@@ -61,29 +62,21 @@ def test_saturated_softmax_flushes_subnormals(prec):
     dt = np.float32 if prec == "f32" else np.float64
     tiny = np.finfo(dt).tiny
     # f32 exp(-90) and exp(-100) are subnormal; f64 exp(-720), exp(-740) are
-    logits = np.array([[0.0, -90.0, -100.0, -200.0, -5.0],
-                       [0.0, -720.0, -740.0, -800.0, -1.0],
-                       [3.0, 2.0, 1.0, 0.0, -1.0]])
-    probe = make_rng(7).standard_normal(logits.shape)
-    with precision(prec):
-        x = Parameter(logits, "x")
-        out = T.softmax(x, axis=1)
-        T.sum_(out * Tensor(probe)).backward()
-        a, g = x.data, probe.astype(dt)
+    a = np.array([[0.0, -90.0, -100.0, -200.0, -5.0],
+                  [0.0, -720.0, -740.0, -800.0, -1.0],
+                  [3.0, 2.0, 1.0, 0.0, -1.0]], dt)
+    g = make_rng(7).standard_normal(a.shape).astype(dt)
+    out = T._softmax(a, 1)
     e = np.exp(a - a.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
     gx = y * (g - (g * y).sum(axis=1, keepdims=True))
     assert np.count_nonzero((y != 0) & (y < tiny)) > 0  # the plain formula has some
-    for got, plain in ((out.data, y), (x.grad, gx)):
+    for got, plain in ((out, y), (T._softmax_grad(out, g, 1), gx)):
+        assert got.dtype == dt
         assert not np.any((got != 0) & (np.abs(got) < tiny))
         keep = np.abs(plain) >= tiny
         assert got[keep].tobytes() == plain[keep].tobytes()
         assert np.all(got[~keep] == 0)
-
-
-def test_softmax_invalid_axis():
-    with pytest.raises(ValueError):
-        T.softmax(Tensor([1.0, 2.0]), axis=3)
 
 
 def test_gelu_examples():
@@ -578,14 +571,16 @@ def test_grad_check_softmax_sum_is_constant():
     x = Parameter(make_rng(1).standard_normal(5), "x")
     # central differences of a constant function return rounding noise near
     # 1e-11, and the rel-err denominator floors at 1e-8, so allow that noise
-    err = grad_check(lambda: T.sum_(T.softmax(x, axis=0)), [x])
+    err = grad_check(lambda: T.sum_(softmax(x, axis=0)), [x])
     assert err < 1e-2
     x.grad = None
-    loss = T.sum_(T.softmax(x, axis=0))
+    loss = T.sum_(softmax(x, axis=0))
     loss.backward()
     assert np.max(np.abs(x.grad)) < 1e-10
 
 
+# div, softmax and transpose are the fused-op oracle's reference nodes, which
+# the package does not run
 @pytest.mark.parametrize("op", [
     "add", "sub", "mul", "div", "abs", "matmul", "mean", "softmax", "gelu",
     "leaky_relu", "layer_norm", "unshuffle", "conv_pw", "conv_dw",
@@ -610,14 +605,14 @@ def test_grad_check_op_family(op):
         "add": (lambda: T.sum_((a + b) * (a + b)), [a, b]),
         "sub": (lambda: T.sum_((a - b) * (a - b)), [a, b]),
         "mul": (lambda: T.sum_(a * b * a), [a, b]),
-        "div": (lambda: T.sum_(a / b), [a, b]),
+        "div": (lambda: T.sum_(div(a, b)), [a, b]),
         "abs": (lambda: T.sum_(T.abs_(a + 0.3)), [a]),
         "matmul": (lambda: T.sum_(T.matmul(T.reshape(a, (4, 8)),
                                            T.reshape(b, (8, 4)))
                                   * T.matmul(T.reshape(b, (4, 8)),
                                              T.reshape(a, (8, 4)))), [a, b]),
         "mean": (lambda: T.sum_(T.mean(a * a, axis=(0, 2))), [a]),
-        "softmax": (lambda: T.sum_(T.softmax(a, axis=1) * b), [a, b]),
+        "softmax": (lambda: T.sum_(softmax(a, axis=1) * b), [a, b]),
         "gelu": (lambda: T.sum_(T.gelu(a) * b), [a, b]),
         "leaky_relu": (lambda: T.sum_(T.leaky_relu(a + 0.05) * b), [a, b]),
         "layer_norm": (lambda: T.sum_(T.layer_norm(a, axis=2) * b), [a, b]),
@@ -628,8 +623,8 @@ def test_grad_check_op_family(op):
         "conv_dw": (lambda: T.sum_(T.conv2d(a, kdw, "depthwise_3x3") * a), [a, kdw]),
         "conv_full": (lambda: T.sum_(T.conv2d(a, kfull, "full_3x3") * a), [a, kfull]),
         "transpose_concat": (lambda: T.sum_(
-            T.concat([T.transpose(a, (2, 0, 1)), T.transpose(b, (2, 0, 1))], axis=0)
-            * T.concat([T.transpose(b, (2, 0, 1)), T.transpose(a, (2, 0, 1))],
+            T.concat([transpose(a, (2, 0, 1)), transpose(b, (2, 0, 1))], axis=0)
+            * T.concat([transpose(b, (2, 0, 1)), transpose(a, (2, 0, 1))],
                        axis=0)), [a, b]),
         "channel": (lambda: T.sum_(T.channel(a, 1) * T.channel(b, 0)), [a, b]),
         "split": (lambda: T.sum_(_split_product(T.concat([a, b], axis=2))), [a, b]),
@@ -672,7 +667,7 @@ def test_activation_grad_check_property(op, shape, axis, scale, slope, seed):
     x = Parameter(np.where(rng.random(shape) < 0.5, -mags, mags), "x")
     probe = Tensor(rng.standard_normal(shape))
     f = {"gelu": lambda: T.gelu(x), "leaky_relu": lambda: T.leaky_relu(x, slope),
-         "softmax": lambda: T.softmax(x, axis), "layer_norm": lambda: T.layer_norm(x, axis)}[op]
+         "softmax": lambda: softmax(x, axis), "layer_norm": lambda: T.layer_norm(x, axis)}[op]
     err = grad_check(lambda: T.sum_(f() * probe), [x], max_elems=12, rng=make_rng(0))
     assert err < 1e-4, f"{op}: rel err {err}"
 
@@ -720,7 +715,7 @@ def test_backward_skips_the_gradient_of_an_input_that_needs_none(op):
     x_data, k_data = rng.standard_normal(xs), rng.standard_normal(ks)
     bias = Tensor(rng.standard_normal(ks[-1]))
     calls = {"matmul": T.matmul, "linear": lambda x, k: T.linear(x, k, bias),
-             "add": T.add, "sub": T.sub, "mul": T.mul, "div": T.div}
+             "add": T.add, "sub": T.sub, "mul": T.mul, "div": div}
 
     def grads(x):
         k = Parameter(k_data, "k")
@@ -856,8 +851,8 @@ def test_an_unused_graph_is_freed_without_cyclic_collection():
     gc.collect()
     gc.disable()
     try:
-        y = T.softmax(T.conv2d(T.gelu(x) * 2.0 - x, k, "full_3x3", b), axis=-1)
-        loss = T.mean(T.split(y, 2)[1]) / 3.0
+        y = T.layer_norm(T.conv2d(T.gelu(x) * 2.0 - x, k, "full_3x3", b), axis=-1)
+        loss = T.mean(T.split(y, 2)[1]) * 3.0
         assert loss.requires_grad
         del y, loss
         assert gc.collect() == 0
@@ -1092,3 +1087,40 @@ def test_module_parameters_each_once_in_creation_order():
     found = root.parameters()
     assert [q.name for q in found] == [f"p{i}" for i in range(6)]
     assert all(q is want for q, want in zip(found, p))
+
+
+# public tensor functions no package module or acceptance test calls, and why
+# each stays
+UNCALLED = {"matmul": "perfbench's test_package_patch_sites_cover_names_imported_by_"
+                      "other_modules requires (tracersep.tensor, matmul) as a patch site"}
+
+
+def _tensor_names_used(path: Path) -> set[str]:
+    """Names of tracersep.tensor that path uses as T.<name> or imports."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "T"):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("tensor"):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_public_tensor_function_has_a_caller():
+    # a caller is package code or an acceptance test; the unit tests and the
+    # fused-op oracle do not count, or an op could live on for its own tests
+    module = Path(T.__file__)
+    tree = ast.parse(module.read_text())
+    used = set()
+    for stmt in tree.body:  # inside tensor.py, outside the function's own body
+        names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        if isinstance(stmt, ast.FunctionDef):
+            names.discard(stmt.name)
+        used |= names
+    for path in [*module.parent.glob("*.py"), Path(__file__).with_name("test_acceptance.py")]:
+        used |= _tensor_names_used(path)
+    public = {stmt.name for stmt in tree.body
+              if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")}
+    assert sorted(public - used - set(UNCALLED)) == []
+    assert set(UNCALLED) <= public - used  # an allowance outlives no caller
