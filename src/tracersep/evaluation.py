@@ -9,7 +9,7 @@ import csv
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -124,10 +124,6 @@ class PhantomPair:
     dual: np.ndarray
     singles: list
     region_masks: dict  # "{name}_t{k}" -> binary array
-    # texture masks of (dual, *singles) by tau, filled by training on first
-    # use: a pair's images never change, so neither do their masks
-    _texture_masks: dict = field(default_factory=dict, init=False, repr=False,
-                                 compare=False)
 
 
 def _blob_pattern(rng: np.random.Generator, spec: PhantomSpec) -> np.ndarray:

@@ -201,17 +201,6 @@ def _first_nonfinite(root: Tensor) -> str:
     return root.op
 
 
-def _pair_masks(pair: PhantomPair, tau: int) -> np.ndarray:
-    """Texture masks (1 + n_tracers, H, W) of a pair's dual and singles at tau,
-    computed on first use and kept on the pair. Each image is masked on its
-    own, so these are bytewise the masks of any stack the image is in."""
-    masks = pair._texture_masks.get(tau)
-    if masks is None:
-        masks = image_mask(np.stack([pair.dual, *pair.singles]), tau)
-        pair._texture_masks[tau] = masks
-    return masks
-
-
 def _batch_losses(batch: list[PhantomPair], model: SeparationModel,
                   rng: np.random.Generator, teacher_forcing: bool):
     """(loss_dm, loss_tm), each the mean over the batch of the items' terms,
@@ -222,10 +211,11 @@ def _batch_losses(batch: list[PhantomPair], model: SeparationModel,
     """
     cfg = model.cfg
     sched = model.schedule
-    dual = np.stack([pair.dual for pair in batch])
-    singles = [np.stack(images) for images in zip(*(pair.singles for pair in batch))]
+    # (B, 1 + n, H, W): each item's dual, then its singles, masked in one call
+    images = np.stack([[pair.dual, *pair.singles] for pair in batch])
+    dual, singles = images[:, 0], list(images[:, 1:].swapaxes(0, 1))
+    masks = image_mask(images, model.texture.tau)
     latent = extract_msp(dual, singles, model.msp_encoder)
-    masks = np.stack([_pair_masks(pair, model.texture.tau) for pair in batch])
     u_dual = masked_texture(dual, masks[:, 0])
     condition = extract_condition(dual, u_dual, model.cond_encoder)
 

@@ -1,4 +1,5 @@
 """Joint training, inference, and checkpointing."""
+import dataclasses
 import hashlib
 import json
 import re
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from tracersep import pipeline
 from tracersep import tensor as T
-from tracersep.evaluation import PhantomSpec, gen_phantom
+from tracersep.evaluation import PhantomPair, PhantomSpec, gen_phantom
 from tracersep.pipeline import (CheckpointError, ModelConfig, SeparationModel,
                                 TrainConfig, load_checkpoint, loss_tm,
                                 save_checkpoint, separate, train, train_step)
@@ -718,32 +719,36 @@ def test_toy_training_is_bytewise_that_of_the_per_pixel_depthwise_kernel(monkeyp
     assert got == want
 
 
-def test_training_masks_are_computed_once_per_pair_and_tau(monkeypatch):
+def test_training_masks_come_from_one_image_mask_call_per_batch(monkeypatch):
     real = pipeline.image_mask
     calls = []
 
-    def counted(image, tau):
-        calls.append((image.shape, tau))
-        return real(image, tau)
+    def recorded(images, tau):
+        masks = real(images, tau)
+        calls.append((images, tau, masks))
+        return masks
 
-    monkeypatch.setattr(pipeline, "image_mask", counted)
+    monkeypatch.setattr(pipeline, "image_mask", recorded)
     model = SeparationModel(tiny_config())
     tau = model.texture.tau
     pairs = tiny_pairs(3)
-    for _ in range(2):
-        pipeline._batch_losses(pairs, model, make_rng(0), teacher_forcing=False)
-    # one call per pair on its (dual, *singles) stack, none on the second step
-    assert calls == [((3, 8, 8), tau)] * 3
-    # bytewise the masks of the batch stacks that each step used to compute
-    masks = np.stack([p._texture_masks[tau] for p in pairs])
-    dual = np.stack([p.dual for p in pairs])
-    assert masks[:, 0].tobytes() == real(dual, tau).tobytes()
-    for i in range(2):
-        single = np.stack([p.singles[i] for p in pairs])
-        assert masks[:, 1 + i].tobytes() == real(single, tau).tobytes()
+    pipeline._batch_losses(pairs, model, make_rng(0), teacher_forcing=False)
     model.texture.tau = 120
-    pipeline._batch_losses(pairs[:1], model, make_rng(0), teacher_forcing=False)
-    assert calls[3:] == [((3, 8, 8), 120)] and sorted(pairs[0]._texture_masks) == [120, tau]
+    pipeline._batch_losses(pairs[:2], model, make_rng(0), teacher_forcing=False)
+    # one call per step on the (B, 1 + n, H, W) stack, at the step's tau
+    assert [(images.shape, t) for images, t, _ in calls] == [((3, 3, 8, 8), tau),
+                                                               ((2, 3, 8, 8), 120)]
+    for (images, t, masks), batch in zip(calls, [pairs, pairs[:2]]):
+        for item, pair in enumerate(batch):
+            # each item's dual, then its singles, each masked as if alone
+            for image, want, mask in zip(images[item], [pair.dual, *pair.singles],
+                                         masks[item]):
+                assert image.tobytes() == want.tobytes()
+                assert mask.tobytes() == real(want, t).tobytes()
+    # a pair is a plain record that training writes nothing to
+    assert [f.name for f in dataclasses.fields(PhantomPair)] == ["dual", "singles",
+                                                                "region_masks"]
+    assert all(vars(pair).keys() == {"dual", "singles", "region_masks"} for pair in pairs)
 
 
 @pytest.mark.parametrize("filled", [True, False])
