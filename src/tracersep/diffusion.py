@@ -30,8 +30,11 @@ def build_schedule(steps: int = 4, beta_start: float = 0.1,
     """Linearly spaced betas; alpha_t = 1 - beta_t, alpha_bar_t = prod alpha."""
     if steps < 1:
         raise ValueError("need at least one step")
-    if not (0.0 <= beta_start <= beta_end < 1.0):
-        raise ValueError(f"invalid beta range [{beta_start}, {beta_end}]")
+    # beta_start 0 would make alpha_bar 1 at step 1, where reverse_step
+    # cannot remove a noise estimate
+    if not 0.0 < beta_start <= beta_end < 1.0:
+        raise ValueError(f"beta_start and beta_end must satisfy 0 < beta_start <= "
+                         f"beta_end < 1, got {beta_start} and {beta_end}")
     beta = np.linspace(beta_start, beta_end, steps, dtype=np.float64)
     alpha = 1.0 - beta
     return DiffusionSchedule(steps, beta, alpha, np.cumprod(alpha))
@@ -71,11 +74,6 @@ def reverse_step(latent_t: Tensor, eps_hat: Tensor, t: int,
     _check_step(t, sched.T)
     ab = sched.alpha_bar_at(t)
     a = sched.alpha_at(t)
-    if ab >= 1.0:
-        if np.any(eps_hat.data != 0.0):
-            raise ZeroDivisionError(
-                f"alpha_bar == 1 at step {t} with nonzero noise estimate")
-        return latent_t * float(1.0 / np.sqrt(a))
     coef = (1.0 - a) / np.sqrt(1.0 - ab)
     return (latent_t - eps_hat * float(coef)) * float(1.0 / np.sqrt(a))
 

@@ -41,21 +41,16 @@ def psnr(x: np.ndarray, y_reference: np.ndarray) -> float:
     return 20.0 * math.log10(float(y.max()) / math.sqrt(mse))
 
 
-def ssim(x: np.ndarray, y: np.ndarray, c1: float | None = None,
-         c2: float | None = None) -> float:
+def ssim(x: np.ndarray, y: np.ndarray) -> float:
     """Global single-window SSIM with population statistics.
 
-    Stabilizers default to (0.01 R)^2 and (0.03 R)^2 with R the reference
+    The stabilizers are (0.01 R)^2 and (0.03 R)^2 with R the reference
     dynamic range; a constant reference falls back to R = 1 so the
     constant-vs-constant case is well defined (and equals 1).
     """
     x, y = _check_pair(x, y)
-    if c1 is None or c2 is None:
-        r = float(y.max() - y.min())
-        if r == 0.0:
-            r = 1.0
-        c1 = (0.01 * r) ** 2 if c1 is None else c1
-        c2 = (0.03 * r) ** 2 if c2 is None else c2
+    r = float(y.max() - y.min()) or 1.0
+    c1, c2 = (0.01 * r) ** 2, (0.03 * r) ** 2
     mx, my = float(x.mean()), float(y.mean())
     vx, vy = float(x.var()), float(y.var())
     cov = float(((x - mx) * (y - my)).mean())
@@ -212,7 +207,7 @@ def load_corpus(corpus_dir) -> list[PhantomPair]:
     path = root / "corpus.json"
     manifest = read_json(path)
     if not isinstance(manifest.get("seeds"), list):
-        raise ValueError(f"{path} holds no JSON object with a seeds list")
+        raise ValueError(f"{path} has no seeds list")
     spec = read_config(PhantomSpec, manifest.get("spec", {}), path, "spec")
     pairs = []
     for idx in range(len(manifest["seeds"])):

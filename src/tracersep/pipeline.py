@@ -49,6 +49,11 @@ def check_types(config) -> None:
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
+# JSON's name for each type json.loads returns but the object
+_JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               str: "a string", list: "a list"}
+
+
 def read_json(path) -> dict:
     """The JSON object in the file at path. Every error names the file."""
     try:
@@ -58,7 +63,7 @@ def read_json(path) -> dict:
     except ValueError as err:  # not JSON, or not UTF-8
         raise ValueError(f"{path} is not valid JSON: {err}") from None
     if not isinstance(value, dict):
-        raise ValueError(f"{path} holds a {type(value).__name__}, not a JSON object")
+        raise ValueError(f"{path} holds {_JSON_TYPES[type(value)]}, not a JSON object")
     return value
 
 
@@ -66,7 +71,7 @@ def read_config(cls, values, where, section: str):
     """A `cls` config from `values`, the JSON `section` of the file `where`,
     which may leave out any field. Every error names the file and the section."""
     if not isinstance(values, dict):
-        raise ValueError(f"{where}: {section} is a {type(values).__name__}, "
+        raise ValueError(f"{where}: {section} is {_JSON_TYPES[type(values)]}, "
                          f"not a JSON object")
     unknown = sorted(set(values) - {f.name for f in fields(cls)})
     if unknown:
@@ -98,12 +103,8 @@ class ModelConfig:
 
     def __post_init__(self):
         check_types(self)
-        # beta_start 0 makes alpha_bar 1 at step 1, where reverse_step cannot
-        # remove a nonzero noise estimate
-        for name, ok, want in (("init_seed", self.init_seed >= 0, ">= 0"),
-                               ("beta_start", self.beta_start > 0, "> 0")):
-            if not ok:
-                raise ValueError(f"{name} must be {want}, got {getattr(self, name)}")
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be >= 0, got {self.init_seed}")
         self.parts()  # each part's config checks its own ranges
 
     def parts(self):

@@ -505,8 +505,8 @@ def test_evaluate_rejects_a_missing_or_misshapen_corpus_file_naming_it(
     ("seeds: [1]", " is not valid JSON"),
     ("[1, 2]", " holds a list, not a JSON object"),
     (None, ": No such file or directory"),
-    ('{"spec": {}}', " holds no JSON object with a seeds list"),
-    ('{"seeds": 2, "spec": {}}', " holds no JSON object with a seeds list"),
+    ('{"spec": {}}', " has no seeds list"),
+    ('{"seeds": 2, "spec": {}}', " has no seeds list"),
     ('{"seeds": [1, 2], "spec": {"colour": "red"}}', " has unknown spec keys colour"),
     ('{"seeds": [1, 2], "spec": {"size": "8"}}', ": spec: size must be an integer, got '8'"),
 ], ids=["not-json", "list", "missing", "no-seeds", "int-seeds", "unknown-spec-key",

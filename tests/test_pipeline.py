@@ -343,10 +343,21 @@ def test_checkpoint_missing_meta_key_rejected(tmp_path, key):
     (lambda path: path.write_text(path.read_text()[:40]), " is not valid JSON"),
     (lambda path: path.write_bytes(b"\xff\xfe{}"), " is not valid JSON"),
     (lambda path: path.write_text("[3]"), " holds a list, not a JSON object"),
+    (lambda path: path.write_text("null"), " holds null, not a JSON object"),
+    (lambda path: path.write_text('"x"'), " holds a string, not a JSON object"),
+    (lambda path: path.write_text("1.5"), " holds a number, not a JSON object"),
     (lambda path: rewrite_meta(path.parent, lambda m: m.update(model=[1])),
      ": model is a list, not a JSON object"),
+    (lambda path: rewrite_meta(path.parent, lambda m: m.update(model=None)),
+     ": model is null, not a JSON object"),
+    (lambda path: rewrite_meta(path.parent, lambda m: m.update(model="x")),
+     ": model is a string, not a JSON object"),
+    (lambda path: rewrite_meta(path.parent, lambda m: m.update(model=True)),
+     ": model is a boolean, not a JSON object"),
     (lambda path: rewrite_meta(path.parent, lambda m: m.update(names="msp.conv_in.w")),
-     ": names is not a list")], ids=["truncated", "not-utf8", "array", "model", "names"])
+     ": names is not a list")],
+    ids=["truncated", "not-utf8", "array", "null", "string", "number", "model", "null-model",
+         "string-model", "boolean-model", "names"])
 def test_unreadable_checkpoint_meta_rejected_naming_the_file(tmp_path, damage, message):
     save_checkpoint(SeparationModel(tiny_config()), tmp_path / "ck")
     path = tmp_path / "ck" / "checkpoint.json"
@@ -398,7 +409,8 @@ def test_model_config_rejects_wrong_types(field, value, want):
 @pytest.mark.parametrize("field, value, message", [
     ("tau", 300, "tau 300 outside [0, 255]"), ("alpha", 1.5, "alpha 1.5 outside [0, 1]"),
     ("diffusion_steps", 0, "denoiser steps must be >= 1, got 0"),
-    ("beta_end", 0.05, "invalid beta range [0.1, 0.05]"),
+    ("beta_end", 0.05, "beta_start and beta_end must satisfy 0 < beta_start <= beta_end < 1, "
+                       "got 0.1 and 0.05"),
     ("lpeb_width", 0, "channel width must be positive"),
     ("unet_channels", [4, 6], "channels above level 0 must be divisible by 4"),
     ("gdfn_expansion", 0.5, "gdfn expansion must be >= 1"),
@@ -409,7 +421,8 @@ def test_model_config_rejects_wrong_types(field, value, want):
     ("unet_channels", [0, 8], "channels must each be >= 1, got [0, 8]"),
     ("unet_blocks", [1, -1], "blocks must each be >= 0, got [1, -1]"),
     ("init_seed", -1, "init_seed must be >= 0, got -1"),
-    ("beta_start", 0.0, "beta_start must be > 0, got 0.0")])
+    ("beta_start", 0.0, "beta_start and beta_end must satisfy 0 < beta_start <= beta_end < 1, "
+                        "got 0.0 and 0.99")])
 def test_model_config_checks_every_part_range_when_built(field, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         tiny_config(**{field: value})

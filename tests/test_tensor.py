@@ -3,6 +3,7 @@ import ast
 import gc
 import hashlib
 import math
+import re
 import tracemalloc
 import zlib
 from dataclasses import dataclass
@@ -1089,38 +1090,56 @@ def test_module_parameters_each_once_in_creation_order():
     assert all(q is want for q, want in zip(found, p))
 
 
-# public tensor functions no package module or acceptance test calls, and why
-# each stays
-UNCALLED = {"matmul": "perfbench's test_package_patch_sites_cover_names_imported_by_"
-                      "other_modules requires (tracersep.tensor, matmul) as a patch site"}
+PACKAGE = Path(T.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+
+# public functions that no caller uses, by module, and why each stays
+UNCALLED = {("tensor", "matmul"): "perfbench's test_package_patch_sites_cover_names_imported_"
+                                  "by_other_modules requires (tracersep.tensor, matmul) as a "
+                                  "patch site"}
 
 
-def _tensor_names_used(path: Path) -> set[str]:
-    """Names of tracersep.tensor that path uses as T.<name> or imports."""
-    used = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+def _names_used(path: Path) -> set[tuple[str, str]]:
+    """(module, name) of each tracersep module name that path imports or reads
+    as <module>.<name>, through whatever name it binds the module to."""
+    tree = ast.parse(path.read_text())
+    bound, used = {}, set()  # bound: local name -> tracersep module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").removeprefix("tracersep").lstrip(".")
+            for alias in node.names:
+                if source in MODULES:
+                    used.add((source, alias.name))
+                elif not source and alias.name in MODULES:
+                    bound[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id == "T"):
-            used.add(node.attr)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("tensor"):
-            used.update(alias.name for alias in node.names)
+                and node.value.id in bound):
+            used.add((bound[node.value.id], node.attr))
     return used
 
 
-def test_every_public_tensor_function_has_a_caller():
-    # a caller is package code or an acceptance test; the unit tests and the
-    # fused-op oracle do not count, or an op could live on for its own tests
-    module = Path(T.__file__)
-    tree = ast.parse(module.read_text())
+@pytest.mark.parametrize("module", MODULES)
+def test_every_public_function_has_a_caller(module):
+    # a caller is package code, an acceptance test, perfbench or the console
+    # script; the unit tests and the fused-op oracle do not count, or a
+    # function could live on for its own tests
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     used = set()
-    for stmt in tree.body:  # inside tensor.py, outside the function's own body
+    for stmt in tree.body:  # inside the module, outside the function's own body
         names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
         if isinstance(stmt, ast.FunctionDef):
             names.discard(stmt.name)
         used |= names
-    for path in [*module.parent.glob("*.py"), Path(__file__).with_name("test_acceptance.py")]:
-        used |= _tensor_names_used(path)
+    callers = [*PACKAGE.glob("*.py"), ROOT / "tests" / "test_acceptance.py",
+               *(ROOT / "perfbench").glob("*.py")]
+    scripts = re.findall(r'"tracersep\.(\w+):(\w+)"', (ROOT / "pyproject.toml").read_text())
+    for source, name in set(scripts).union(*map(_names_used, callers)):
+        if source == module:
+            used.add(name)
     public = {stmt.name for stmt in tree.body
               if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")}
-    assert sorted(public - used - set(UNCALLED)) == []
-    assert set(UNCALLED) <= public - used  # an allowance outlives no caller
+    allowed = {name for source, name in UNCALLED if source == module}
+    assert sorted(public - used - allowed) == []
+    assert allowed <= public - used  # an allowance outlives no caller
