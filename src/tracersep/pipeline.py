@@ -49,7 +49,7 @@ def check_types(config) -> None:
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
-# JSON's name for each type json.loads returns but the object
+# how an error names each type json.loads returns other than dict: JSON's names
 _JSON_TYPES = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
                str: "a string", list: "a list"}
 
