@@ -36,8 +36,9 @@ TSR_MAGIC = b"MSCDTTSR"
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
 
-# The f32 gelu sweeps a large map in pieces of at most this many bytes, small
-# enough that a piece and its f64 scratch stay in a core's L2 cache.
+# Kernels that sweep a large map in pieces keep each piece's scratch to at
+# most this many bytes, small enough to stay in a core's L2 cache: the f32
+# gelu's f64 rows and the depthwise 3x3's zero-bordered row blocks.
 _BLOCK_BYTES = 1 << 18
 
 # Phi(x) - 1/2 ~ x * p(x^2) / q(x^2) on [-4 sqrt2, 4 sqrt2], Phi the Gaussian
@@ -255,6 +256,18 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
         buf += g
 
 
+def _adopt(t: Tensor, g: np.ndarray) -> None:
+    """As _accum, for a g that the caller has just computed for t alone:
+    when t has no gradient yet and g is a writeable C-contiguous array of
+    t's shape and dtype, g becomes t's gradient, with no zero-filled buffer
+    to add it into."""
+    if (t.requires_grad and t.grad is None and g.shape == t.data.shape
+            and g.dtype == t.data.dtype and g.flags.c_contiguous and g.flags.writeable):
+        t.grad = g
+    else:
+        _accum(t, g)
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -289,7 +302,9 @@ def _binary(op: str, a, b) -> Tensor:
     def backward(g):
         for t, grad in ((a, grad_a), (b, grad_b)):
             if t.requires_grad:
-                _accum(t, _unbroadcast(grad(g, a.data, b.data), t.data.shape))
+                gt = _unbroadcast(grad(g, a.data, b.data), t.data.shape)
+                # g itself is the output's gradient, which t must not own
+                (_accum if gt is g else _adopt)(t, gt)
     return _result(forward(a.data, b.data), (a, b), op, backward)
 
 
@@ -306,7 +321,7 @@ def mul(a, b) -> Tensor:
 
 
 def abs_(a: Tensor) -> Tensor:
-    return _result(np.abs(a.data), (a,), "abs", lambda g: _accum(a, g * np.sign(a.data)))
+    return _result(np.abs(a.data), (a,), "abs", lambda g: _adopt(a, g * np.sign(a.data)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -347,7 +362,7 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, a.data.ndim)
     count = int(np.prod([a.data.shape[ax] for ax in axes])) if axes else 1
     return _result(a.data.mean(axis=axes, keepdims=keepdims), (a,), "mean",
-                   lambda g: _accum(a, _spread(g, a, axes, keepdims) / count))
+                   lambda g: _adopt(a, _spread(g, a, axes, keepdims) / count))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -485,7 +500,7 @@ def _gelu_slope(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def gelu(a: Tensor) -> Tensor:
     y, phi = _gelu(a.data, keep_phi=_state["grad"] and a.requires_grad)
-    return _result(y, (a,), "gelu", lambda g: _accum(a, g * _gelu_slope(a.data, phi)))
+    return _result(y, (a,), "gelu", lambda g: _adopt(a, g * _gelu_slope(a.data, phi)))
 
 
 def geglu(a: Tensor) -> Tensor:
@@ -517,7 +532,7 @@ def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     def backward(g):
         # factor 1 where a >= 0, else slope, looked up by the mask's bytes
         factor = np.array([slope, 1.0], a.data.dtype).take((a.data >= 0).view(np.uint8))
-        _accum(a, g * factor)
+        _adopt(a, g * factor)
     return _result(np.maximum(a.data, slope * a.data), (a,), "leaky_relu", backward)
 
 
@@ -563,7 +578,7 @@ def layer_norm(a: Tensor, axis: int, epsilon: float = 1e-5,
         if a.requires_grad:
             gm = g.mean(axis=axis, keepdims=True)
             gym = (g * y).mean(axis=axis, keepdims=True)
-            _accum(a, inv * (g - gm - y * gym))
+            _adopt(a, inv * (g - gm - y * gym))
     return _result(out, prev, "layer_norm", backward)
 
 
@@ -707,7 +722,8 @@ def _items(x: np.ndarray) -> np.ndarray:
 
 
 def _windows(xs: np.ndarray) -> np.ndarray:
-    """(N, H, W, C) as the (N, H, W, C, 3, 3) windows of a zero-padded 3x3.
+    """(N, H, W, C) as the (N, H, W, C, 3, 3) windows of a zero-padded 3x3,
+    for _cols.
 
     Window [n, i, j, c] holds input (i + di - 1, j + dj - 1) of item n and
     channel c at [di, dj], and 0 outside the map. It is a strided view of a
@@ -740,53 +756,105 @@ def _kernel_node(x: Tensor, k: Tensor, bias: Tensor | None, residual: Tensor | N
 
     def with_addends(g):
         if bias is not None and bias.requires_grad:
-            _accum(bias, _unbroadcast(g, bias.data.shape))
+            gb = _unbroadcast(g, bias.data.shape)
+            (_accum if gb is g else _adopt)(bias, gb)
         if residual is not None:
             _accum(residual, g)
         backward(g)
     return _result(y, prev, op, with_addends)
 
 
-def _window_rows(xs: np.ndarray) -> np.ndarray:
-    """(N, H, W, C) as the (N, H, 3, 3, W*C) rows of its _windows: entry
-    [n, i, di, dj, j*C + c] is window [n, i, j, c] at [di, dj]. Merging W and
-    C is free, as W's stride in the padded copy is C items, so this is still a
-    view of that copy and each row is W*C contiguous items."""
-    n, h, w, c = xs.shape
-    return _windows(xs).transpose(0, 1, 4, 5, 2, 3).reshape(n, h, 3, 3, w * c)
+def _row_blocks(shape: tuple, dtype) -> np.ndarray:
+    """The zero-bordered scratch of a depthwise pass over (N, H, W, C) maps:
+    (items, rows + 2, W + 2, C), one block of `rows` map rows of `items` maps
+    with a one-row halo above and below and a zero column either side. It
+    holds whole maps when one fits in _BLOCK_BYTES, else rows of one map, as
+    many as fit with their halo (at least one)."""
+    n, h, w, c = shape
+    fit = _BLOCK_BYTES // ((w + 2) * c * np.dtype(dtype).itemsize)
+    if fit >= h + 2:
+        items, rows = max(1, min(n, fit // (h + 2))), h
+    else:
+        items, rows = 1, max(1, fit - 2)
+    return np.zeros((items, rows + 2, w + 2, c), dtype)
+
+
+def _window_rows(padded: np.ndarray) -> np.ndarray:
+    """A zero-bordered (N, R + 2, W + 2, C) block as the (N, R, 3, 3, W*C)
+    rows of its 3x3 windows: entry [n, i, di, dj, j*C + c] is padded[n, i +
+    di, j + dj, c]. Merging W and C is free, as W's stride is C items, so
+    this is a view of the block and each row is W*C contiguous items."""
+    n, r, w, c = padded.shape
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, r - 2, 3, 3, (w - 2) * c)
 
 
 def _depthwise_rows(xs: np.ndarray, k: np.ndarray) -> np.ndarray:
     """The zero-padded 3x3 depthwise correlation of xs (N, H, W, C) with k
-    (3, 3, C), as one multiply-accumulate pass over the window rows against k
-    tiled along W. The inner loop runs over a whole W*C row rather than over
-    C, and each output still adds its nine products in (di, dj) order, so for
-    C >= 2 the result is bytewise that of the per-pixel einsum
-    nhwcij,ijc->nhwc. (At C = 1 numpy makes the column tap the inner loop of
+    (3, 3, C), block by block of _row_blocks: each block's rows and halo are
+    copied into the one scratch, and one multiply-accumulate pass over its
+    window rows against k tiled along W writes the block's output rows. The
+    inner loop runs over a whole W*C row rather than over C, and each output
+    still adds its nine products in (di, dj) order, so for C >= 2 the result
+    is bytewise that of the per-pixel einsum nhwcij,ijc->nhwc, wherever the
+    blocks end. (At C = 1 numpy makes the column tap the inner loop of
     either einsum, and f64 results can differ in the last bits.)"""
     n, h, w, c = xs.shape
-    y = np.einsum("nhijk,ijk->nhk", _window_rows(xs), np.tile(k, (1, 1, w)))
+    padded = _row_blocks(xs.shape, xs.dtype)
+    items, rows = padded.shape[0], padded.shape[1] - 2
+    windows = _window_rows(padded)
+    tiled = np.tile(k, (1, 1, w))
+    y = np.empty((n, h, w * c), xs.dtype)
+    for n0 in range(0, n, items):
+        n1 = min(n, n0 + items)
+        block = padded[:n1 - n0]
+        for r0 in range(0, h, rows):
+            r1 = min(h, r0 + rows)
+            # the block's rows with the halo rows that lie inside the map;
+            # a halo row outside it is zero
+            lo, hi = max(r0 - 1, 0), min(r1 + 1, h)
+            block[:, lo - r0 + 1:hi - r0 + 1, 1:-1] = xs[n0:n1, lo:hi]
+            if r0 == 0:
+                block[:, 0] = 0
+            if r1 == h:
+                block[:, r1 - r0 + 1] = 0
+            np.einsum("nhijk,ijk->nhk", windows[:n1 - n0, :r1 - r0], tiled,
+                      out=y[n0:n1, r0:r1])
     return y.reshape(n, h, w, c)
+
+
+def _tap_spans(n: int, d: int) -> tuple[slice, slice]:
+    """(output span, input span) along an axis of n for the row or column
+    offset d of a zero-padded 3x3: output i reads input i + d - 1, and the
+    spans keep the outputs whose input lies inside the map."""
+    lo, hi = max(0, 1 - d), min(n, n + 1 - d)
+    return slice(lo, hi), slice(lo + d - 1, hi + d - 1)
 
 
 def _conv_depthwise(x: Tensor, k: Tensor, bias: Tensor | None,
                     residual: Tensor | None) -> Tensor:
     xs = _items(x.data)
-    c = xs.shape[3]
+    h, w, c = xs.shape[1:]
     if k.data.shape != (3, 3, c):
         raise ValueError(f"depthwise kernel {k.data.shape} vs input channels {c}")
 
     def backward(g):
         # x's gradient is the same zero-padded correlation of the output
-        # gradient with the flipped kernel; xs is padded again here rather
-        # than kept padded, so the graph holds no copy of it. k's gradient
-        # stays per pixel: it sums the pixels one after another, an order a
-        # row-wise contraction would change
+        # gradient with the flipped kernel. k's gradient sums each tap over
+        # the pixels whose input lies inside the map, one pixel after
+        # another: the per-pixel order, less products with the zero border
         gs = _items(g)
         if k.requires_grad:
-            _accum(k, np.einsum("nhwcij,nhwc->ijc", _windows(xs), gs))
+            kg = np.empty(k.data.shape, k.data.dtype)
+            for di in range(3):
+                rows_out, rows_in = _tap_spans(h, di)
+                for dj in range(3):
+                    cols_out, cols_in = _tap_spans(w, dj)
+                    np.einsum("nhwc,nhwc->c", xs[:, rows_in, cols_in],
+                              gs[:, rows_out, cols_out], out=kg[di, dj])
+            _adopt(k, kg)
         if x.requires_grad:
-            _accum(x, _depthwise_rows(gs, k.data[::-1, ::-1]).reshape(x.data.shape))
+            _adopt(x, _depthwise_rows(gs, k.data[::-1, ::-1]).reshape(x.data.shape))
     y = _depthwise_rows(xs, k.data)
     return _kernel_node(x, k, bias, residual, "conv_dw3x3", y, backward)
 
@@ -807,15 +875,15 @@ def _conv_full3x3(x: Tensor, k: Tensor, bias: Tensor | None,
     co = k.data.shape[3]
 
     def backward(g):
-        # as in _conv_depthwise: x's gradient correlates the output gradient
-        # with the flipped kernel, and the rows are built again here rather
-        # than kept, so the graph holds no 9x copy of xs
+        # x's gradient correlates the output gradient with the flipped
+        # kernel, and the rows are built again here rather than kept, so the
+        # graph holds no 9x copy of xs
         gs = _items(g)
         if k.requires_grad:
-            _accum(k, (_cols(xs).T @ gs.reshape(-1, co)).reshape(k.data.shape))
+            _adopt(k, (_cols(xs).T @ gs.reshape(-1, co)).reshape(k.data.shape))
         if x.requires_grad:
             flipped = k.data[::-1, ::-1].swapaxes(2, 3).reshape(9 * co, ci)
-            _accum(x, (_cols(gs) @ flipped).reshape(x.data.shape))
+            _adopt(x, (_cols(gs) @ flipped).reshape(x.data.shape))
     # one GEMM over the window rows, not a matmul per tap
     y = _cols(xs) @ k.data.reshape(9 * ci, co)
     return _kernel_node(x, k, bias, residual, "conv3x3", y, backward)
@@ -841,9 +909,9 @@ def _dense(x: Tensor, w: Tensor, bias: Tensor | None, op: str,
     def backward(g):
         g = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            _accum(x, (g @ w.data.T).reshape(x.data.shape))
+            _adopt(x, (g @ w.data.T).reshape(x.data.shape))
         if w.requires_grad:
-            _accum(w, rows.T @ g)
+            _adopt(w, rows.T @ g)
     return _kernel_node(x, w, bias, residual, op, rows @ w.data, backward)
 
 

@@ -410,13 +410,15 @@ def test_depthwise_is_bytewise_the_per_pixel_einsum(prec, lead, h, w, c, seed):
             gamma = 9 * u / (1 - 9 * u)
             diff = np.abs(got - want.reshape(got.shape).astype(np.float64))
             assert np.all(diff <= 2 * gamma * want_abs.reshape(got.shape))
-    # the merged rows are a view of the zero-padded copy: a layout that made
-    # numpy copy the nine windows would fail here rather than run slowly
-    rows = T._window_rows(xs)
-    padded = _root(rows)
-    assert rows.shape == (xs.shape[0], h, 3, 3, w * c)
-    assert padded.shape == (xs.shape[0], h + 2, w + 2, c)
-    assert np.shares_memory(rows, padded)
+    # the merged rows are a view of the zero-bordered scratch block: a layout
+    # that made numpy copy the nine windows would fail here rather than run
+    # slowly
+    block = T._row_blocks(xs.shape, xs.dtype)
+    rows = T._window_rows(block)
+    items, r = block.shape[0], block.shape[1] - 2
+    assert rows.shape == (items, r, 3, 3, w * c)
+    assert block.shape == (items, r + 2, w + 2, c)
+    assert _root(rows) is _root(block) and np.shares_memory(rows, block)
 
 
 @pytest.mark.parametrize("shape, kshape", [
