@@ -518,6 +518,98 @@ def test_f32_gelu_pieces_are_bytewise_one_piece(monkeypatch, h, w, rows):
         assert run() == whole
 
 
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["lead0", "lead1"])
+@pytest.mark.parametrize("c", [1, 3])
+@pytest.mark.parametrize("h, w, rows", [(1, 5, 1), (5, 1, 1), (6, 1, 4), (7, 4, 1), (7, 4, 2),
+                                        (7, 4, 3), (8, 3, 4), (2, 3, 6)])
+def test_depthwise_blocks_are_bytewise_one_block(monkeypatch, prec, lead, c, h, w, rows):
+    # Shrinking _BLOCK_BYTES to `rows` map rows and their halo splits a map
+    # into blocks of 1-4 rows: one row for h = 1, a short last block where
+    # rows does not divide h. Where a whole map fits (rows >= h), a block
+    # holds (rows + 2) // (h + 2) maps, and (2, 3, 6) leaves a short last
+    # group of one map out of 3. y, x.grad and k.grad must not depend on
+    # where the blocks end.
+    rng = make_rng(h * 100 + w * 10 + rows)
+    shape = lead + (h, w, c)
+    x_data, k_data, probe = (rng.standard_normal(s) for s in (shape, (3, 3, c), shape))
+
+    def run():
+        x, k = Parameter(x_data, "x"), Parameter(k_data, "k")
+        y = T.conv2d(x, k, "depthwise_3x3")
+        T.sum_(y * Tensor(probe)).backward()
+        return y.data.tobytes() + x.grad.tobytes() + k.grad.tobytes()
+
+    with precision(prec):
+        whole = run()
+        item = np.dtype(T._dtype(prec)).itemsize
+        monkeypatch.setattr(T, "_BLOCK_BYTES", (rows + 2) * (w + 2) * c * item)
+        block = T._row_blocks((math.prod(lead),) + shape[-3:], T._dtype(prec))
+        maps = (rows + 2) // (h + 2) if rows >= h else 1
+        assert block.shape == (min(maps, math.prod(lead)), min(rows, h) + 2, w + 2, c)
+        assert run() == whole
+
+
+def _depthwise_kernel_grad_per_pixel(xs, gs):
+    """The depthwise kernel gradient before per-tap sums: one einsum over the
+    per-pixel windows of the zero-padded input."""
+    return np.einsum("nhwcij,nhwc->ijc", T._windows(xs), gs)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(prec=st.sampled_from(["f32", "f64"]), lead=st.lists(st.integers(1, 3), max_size=2),
+       h=st.integers(1, 6), w=st.integers(1, 6), c=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(prec="f64", lead=[], h=1, w=1, c=2, seed=0)
+@example(prec="f32", lead=[3], h=6, w=5, c=1, seed=1)
+def test_depthwise_kernel_grad_is_bytewise_the_per_pixel_einsum(prec, lead, h, w, c, seed):
+    # each tap sums the pixels whose input lies inside the map, in the
+    # per-pixel einsum's order; the products it leaves out are those with the
+    # zero border, which add nothing
+    rng = make_rng(seed)
+    shape = tuple(lead) + (h, w, c)
+    with precision(prec):
+        x = Tensor(rng.standard_normal(shape))
+        k = Parameter(rng.standard_normal((3, 3, c)), "k")
+        g = Tensor(rng.standard_normal(shape))
+        T.sum_(T.conv2d(x, k, "depthwise_3x3") * g).backward()
+    xs, gs = T._items(x.data), T._items(g.data)
+    want = _depthwise_kernel_grad_per_pixel(xs, gs)
+    assert k.grad.dtype == x.data.dtype
+    if c > 1:
+        assert k.grad.tobytes() == want.tobytes()
+    else:
+        # at C = 1 numpy's einsum runs its inner loop over the pixels, in an
+        # order of its own: each entry is within m = N*H*W roundings of the
+        # exact sum (gamma_m, as in the f32 model-width test)
+        m = math.prod(xs.shape[:3])
+        u = np.finfo(k.grad.dtype).eps / 2
+        gamma = m * u / (1 - m * u)
+        want_abs = _depthwise_kernel_grad_per_pixel(abs(xs), abs(gs))
+        assert np.all(np.abs(k.grad - want.astype(np.float64)) <= 2 * gamma * want_abs)
+
+
+def test_depthwise_forward_peaks_at_its_output_and_one_block():
+    # a no-grad depthwise on the level-0 feed-forward map of the full-scale
+    # model (64x64x192, f32) may hold its output, one zero-bordered row block
+    # of at most _BLOCK_BYTES and the kernel tiled along W at once, and
+    # nothing else of that size: a zero-padded copy of the input (3.35 MB)
+    # would exceed this
+    rng = make_rng(45)
+    shape = (1, 64, 64, 192)
+    with precision("f32"), no_grad():
+        x = Tensor(rng.standard_normal(shape))
+        k = Tensor(rng.standard_normal((3, 3, 192)))
+        tracemalloc.start()
+        try:
+            y = T.conv2d(x, k, "depthwise_3x3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    tiled = 9 * 64 * 192 * 4
+    assert peak <= y.data.nbytes + T._BLOCK_BYTES + tiled + (64 << 10)
+
+
 def test_conv_shape_errors():
     x = Tensor(np.zeros((4, 4, 3)))
     with pytest.raises(ValueError):
@@ -893,6 +985,108 @@ def test_shared_input_gradient_is_the_sum_of_its_single_use_gradients():
     # both orders, so that each backward once finds the buffer already written
     for order in (range(len(uses)), reversed(range(len(uses)))):
         assert np.max(np.abs(grad_of(*order) - sum(singles))) < 1e-12
+
+
+def test_add_gives_each_operand_its_own_gradient():
+    # add passes its output gradient on unchanged: each operand gets a copy,
+    # never the output's gradient array itself
+    rng = make_rng(46)
+    a, b = Parameter(rng.standard_normal((3, 4)), "a"), Parameter(rng.standard_normal((3, 4)), "b")
+    probe = rng.standard_normal((3, 4))
+    y = a + b
+    T.sum_(y * Tensor(probe)).backward()
+    assert np.array_equal(a.grad, probe) and np.array_equal(b.grad, probe)
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not np.shares_memory(a.grad, y.grad) and not np.shares_memory(b.grad, y.grad)
+
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+def test_an_input_used_twice_gets_the_sum_of_both_gradients(prec):
+    # the first gradient to arrive is adopted, the second added into it;
+    # float addition commutes, so the sum has the bytes of ga + gb
+    rng = make_rng(47)
+    with precision(prec):
+        x = Parameter(rng.standard_normal((2, 5, 4, 3)), "x")
+        x2 = Tensor(rng.standard_normal((2, 5, 4, 3)))
+        k = Parameter(rng.standard_normal((3, 3, 3)), "k")
+        probe = Tensor(rng.standard_normal((2, 5, 4, 3)))
+
+        def grad(p, f):
+            p.grad = None
+            T.sum_(f() * probe).backward()
+            return p.grad
+
+        assert grad(x, lambda: x + x).tobytes() == (probe.data + probe.data).tobytes()
+        assert grad(x, lambda: x * x).tobytes() == (probe.data * x.data
+                                                    + probe.data * x.data).tobytes()
+        conv = [lambda: T.conv2d(x, k, "depthwise_3x3"), lambda: T.conv2d(x2, k, "depthwise_3x3")]
+        ga, gb = (grad(k, f).copy() for f in conv)
+        assert grad(k, lambda: conv[0]() + conv[1]()).tobytes() == (ga + gb).tobytes()
+
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+@pytest.mark.parametrize("kshape", [(3, 3), (3, 3, 3), (3, 3, 3, 3)],
+                         ids=["pointwise_1x1", "depthwise_3x3", "full_3x3"])
+def test_conv_with_its_own_input_as_residual(prec, kshape):
+    # x reaches the output twice, through the kernel and as the residual:
+    # its gradient is the output gradient plus the kernel's input gradient
+    rng = make_rng(48 + len(kshape))
+    mode = "pointwise_1x1" if len(kshape) == 2 else _mode(np.zeros(kshape))
+    shape = (2, 4, 5, 3)
+    with precision(prec):
+        x = Parameter(rng.standard_normal(shape), "x")
+        k = Parameter(rng.standard_normal(kshape), "k")
+        probe = Tensor(rng.standard_normal(shape))
+        T.sum_(T.conv2d(x, k, mode) * probe).backward()
+        gx, gk = x.grad, k.grad
+        x.grad = k.grad = None
+        T.sum_(T.conv2d(x, k, mode, residual=x) * probe).backward()
+    assert x.grad.tobytes() == (probe.data + gx).tobytes()
+    assert k.grad.tobytes() == gk.tobytes()
+
+
+@pytest.mark.parametrize("prec", ["f32", "f64"])
+def test_adopted_gradients_are_owned_contiguous_and_of_the_input_dtype(monkeypatch, prec):
+    # one graph through every op whose backward hands a fresh array over as
+    # an input's gradient; every adopted array must be C-contiguous,
+    # writeable and of its input's shape and dtype, and no two nodes may end
+    # up sharing gradient memory
+    adopted = []
+    adopt = T._adopt
+
+    def recording(t, g):
+        adopt(t, g)
+        if t.grad is g:
+            adopted.append(t)
+    monkeypatch.setattr(T, "_adopt", recording)
+    rng = make_rng(49)
+    with precision(prec):
+        def param(*shape):
+            return Parameter(rng.standard_normal(shape), "p")
+        x, kf, kd, kp = param(2, 6, 5, 4), param(3, 3, 4, 4), param(3, 3, 4), param(4, 8)
+        bf, bd, v, w, bv = param(4), param(4), param(3), param(3, 2), param(2)
+        ss = param(2, 8)
+        h = T.conv2d(x, kf, "full_3x3", bf)
+        h = T.conv2d(h, kd, "depthwise_3x3", bd, residual=x)
+        h = T.layer_norm(T.gelu(h), axis=-1, scale_shift=ss)
+        h = T.conv2d(T.leaky_relu(h), kp, "pointwise_1x1")
+        a, b = T.split(h, 2)
+        h = T.geglu(h) + T.abs_(a) * b - 0.5 + T.mean(b, axis=-1, keepdims=True)
+        h = T.concat([T.layer_norm(h, axis=-1), T.reshape(h, (2, 6, 5, 4))], axis=0)
+        u = T.linear(v, w, bv)  # a 1-D input: the bias gradient is the output's
+        loss = T.mean(h) + T.sum_(u * u) - T.sum_(T.channel(h, 1))
+        nodes = T.topological_order(loss)
+        loss.backward()
+    assert len(adopted) > 10
+    for t in adopted:
+        g = t.grad
+        assert g.flags.c_contiguous and g.flags.writeable
+        assert g.shape == t.data.shape and g.dtype == t.data.dtype == T._dtype(prec)
+    grads = [t.grad for t in nodes if t.grad is not None]
+    assert len(grads) == len(nodes)
+    for i, g in enumerate(grads):
+        for other in grads[i + 1:]:
+            assert not np.shares_memory(g, other)
 
 
 def test_adam_first_step_magnitude():
